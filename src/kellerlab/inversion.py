@@ -66,13 +66,12 @@ def is_normalized(polymap: PolyMap) -> bool:
 
 
 def _require_normalized(polymap: PolyMap) -> PolyMap:
+    """H for a normalized map x + H; raises for any other map."""
     if polymap.m != polymap.n:
         raise NonSquare(f"{polymap.m}x{polymap.n} map")
-    higher = polymap - PolyMap.identity(polymap.field, polymap.n)
-    for c in higher.components:
-        if any(deg < 2 for deg in c.degrees()):
-            raise NotNormalized("map must be x + H with H of order at least 2")
-    return higher
+    if not is_normalized(polymap):
+        raise NotNormalized("map must be x + H with H of order at least 2")
+    return polymap - PolyMap.identity(polymap.field, polymap.n)
 
 
 def normalize_affine(polymap: PolyMap) -> AffineNormalization:
@@ -107,7 +106,7 @@ def normalize_affine(polymap: PolyMap) -> AffineNormalization:
                 acc = acc + core_comps[j] * linear.rows[i][j]
         rebuilt.append(acc)
     if tuple(rebuilt) != polymap.components:
-        raise RuntimeError("affine normalization failed to reconstruct the map")
+        raise TheoremViolation("affine normalization failed to reconstruct the map")
     return AffineNormalization(linear=linear, constant=constant, core=core)
 
 
@@ -182,7 +181,7 @@ def invert_polymap(polymap: PolyMap, max_deg: Optional[int] = None) -> InverseRe
     full = result.inverse.compose(affine_inv)
     if result.is_polynomial:
         if not verify_inverse(polymap, full):
-            raise RuntimeError("recomposed inverse failed the composition check")
+            raise TheoremViolation("recomposed inverse failed the composition check")
         return InverseResult(VERDICT_POLYNOMIAL, full, full.degree(), result.bound_used)
     return InverseResult(VERDICT_NOT_UP_TO_BOUND, full, None, result.bound_used)
 

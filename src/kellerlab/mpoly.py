@@ -18,11 +18,31 @@ multiplication):
 
 Note the grammar binds unary minus tighter than "^": ``-x1^2`` is
 ``(-x1)^2``.  The renderer never emits that shape, so parse(render(p)) == p.
+
+Products (``*``, ``**``) and :meth:`MPoly.substitute` run on a packed
+integer kernel (packed monomials after Monagan & Pearce, ISSAC 2009).  Each
+call converts its operands once and converts the result back once:
+
+* A monomial is one int: the total degree in the top bits, then x1 ... xn
+  in fields of ``w`` bits, x1 most significant, so integer order is the
+  graded-lex order and multiplying monomials is adding ints.
+* Width rule: ``w`` is the bit length of the largest total degree of
+  anything packed in the call -- operands, images and every product kept.
+  No exponent can then reach ``2^w``, so no field can carry into the next,
+  and a product whose key is below ``(D + 1) << (n*w)`` is exactly one of
+  total degree at most ``D``: truncation compares keys, not exponents.
+* Coefficients are plain ints.  Over F_p they are residues; products are
+  summed unreduced and reduced mod p once per output coefficient (delayed
+  reduction, as in FLINT's ``nmod`` arithmetic).  Over Q each operand is a
+  list of integer numerators over one shared denominator, and each result
+  is brought to lowest terms by a single gcd.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
+from math import gcd, lcm, prod
 from typing import Sequence
 
 from .errors import (
@@ -33,11 +53,111 @@ from .errors import (
     FieldMismatch,
     ParseError,
 )
-from .field_linalg import Field, Rationals
+from .field_linalg import Field, Fp, Rationals
 
 
 def _grlex(exps):
     return (sum(exps), exps)
+
+
+# ---- packed-integer kernel ----------------------------------------------
+#
+# A packed polynomial is a triple (keys, coeffs, den): monomial keys in
+# ascending order, integer coefficients, and the shared denominator (always 1
+# over F_p).  The module docstring gives the key layout and the width rule.
+
+_ONE = ([0], [1], 1)
+
+
+def _width(degree_bound: int) -> int:
+    """Bits per exponent field for monomials of total degree <= the bound."""
+    return max(1, degree_bound.bit_length())
+
+
+def _coefficients(poly: "MPoly") -> tuple:
+    """Integer coefficients of ``poly`` in ascending term order, and their
+    shared denominator."""
+    values = list(reversed(poly.terms.values()))
+    if poly.field.characteristic:
+        return [c.v for c in values], 1
+    den = lcm(*[c.denominator for c in values])
+    return [c.numerator * (den // c.denominator) for c in values], den
+
+
+def _pack(poly: "MPoly", width: int) -> tuple:
+    keys = []
+    for exps in reversed(poly.terms):
+        key = sum(exps)
+        for e in exps:
+            key = key << width | e
+        keys.append(key)
+    return (keys, *_coefficients(poly))
+
+
+def _product(a: tuple, b: tuple, limit, p: int) -> tuple:
+    """The product of two packed polynomials, keeping only keys below
+    ``limit`` (all keys when it is None).
+
+    This is the one multiplication loop of the module.  Both key lists are
+    ascending, so the right factors that fit under ``limit`` form a prefix,
+    found by bisection, and once none fits the remaining left keys are
+    larger still.
+    """
+    if len(a[0]) > len(b[0]):
+        a, b = b, a
+    akeys, acoeffs, aden = a
+    bkeys, bcoeffs, bden = b
+    right = list(zip(bkeys, bcoeffs))
+    acc = {}
+    get = acc.get
+    for k1, c1 in zip(akeys, acoeffs):
+        pairs = right
+        if limit is not None:
+            stop = bisect_left(bkeys, limit - k1)
+            if not stop:
+                break
+            pairs = right[:stop]
+        for k2, c2 in pairs:
+            k = k1 + k2
+            acc[k] = get(k, 0) + c1 * c2
+    return _reduce(acc, aden * bden, p)
+
+
+def _reduce(acc: dict, den: int, p: int) -> tuple:
+    """Packed canonical form of an accumulator of unreduced integer sums:
+    residues mod p over F_p, lowest terms over Q, zeros dropped."""
+    if p:
+        out = {}
+        for k, v in acc.items():
+            v %= p
+            if v:
+                out[k] = v
+    else:
+        out = {k: v for k, v in acc.items() if v}
+        if den != 1:
+            g = gcd(den, *out.values())
+            if g != 1:
+                den //= g
+                out = {k: v // g for k, v in out.items()}
+    keys = sorted(out)
+    return keys, [out[k] for k in keys], den
+
+
+def _unpack(packed: tuple, field: Field, nvars: int, width: int) -> "MPoly":
+    keys, coeffs, den = packed
+    mask = (1 << width) - 1
+    shifts = [width * (nvars - 1 - j) for j in range(nvars)]
+    p = field.characteristic
+    if p:
+        values = [Fp(c, p) for c in coeffs]
+    elif den == 1:
+        values = [Fraction(c) for c in coeffs]
+    else:
+        values = [Fraction(c, den) for c in coeffs]
+    terms = {
+        tuple([k >> s & mask for s in shifts]): c for k, c in zip(reversed(keys), reversed(values))
+    }
+    return MPoly._canonical(field, nvars, terms)
 
 
 class MPoly:
@@ -62,6 +182,17 @@ class MPoly:
         self.field = field
         self.nvars = nvars
         self.terms = {e: cleaned[e] for e in sorted(cleaned, key=_grlex, reverse=True)}
+
+    @classmethod
+    def _canonical(cls, field: Field, nvars: int, terms: dict) -> "MPoly":
+        """Wrap a term map that is already canonical: tuple keys of length
+        ``nvars``, coerced nonzero coefficients, graded-lex descending.
+        Skips the validation and the sort done by ``__init__``."""
+        poly = object.__new__(cls)
+        poly.field = field
+        poly.nvars = nvars
+        poly.terms = terms
+        return poly
 
     # ---- constructors -------------------------------------------------
 
@@ -117,42 +248,29 @@ class MPoly:
     def __rsub__(self, other):
         return self._as_poly(other) - self
 
-    def _mul(self, other: "MPoly", max_degree) -> "MPoly":
-        self._compat(other)
-        # ascending-degree view of the right factor so truncation can break early
-        rhs = [(sum(e), e, c) for e, c in reversed(list(other.terms.items()))]
-        acc = {}
-        for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            for d2, e2, c2 in rhs:
-                if max_degree is not None and d1 + d2 > max_degree:
-                    break
-                key = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                prev = acc.get(key)
-                acc[key] = prod if prev is None else prev + prod
-        return MPoly(self.field, self.nvars, acc)
-
     def __mul__(self, other):
-        return self._mul(self._as_poly(other), None)
+        other = self._as_poly(other)
+        self._compat(other)
+        width = _width(self.degree() + other.degree())
+        product = _product(_pack(self, width), _pack(other, width), None, self.field.characteristic)
+        return _unpack(product, self.field, self.nvars, width)
 
     __rmul__ = __mul__
 
-    def _pow(self, e: int, max_degree) -> "MPoly":
+    def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative polynomial power")
-        result = MPoly.constant(self.field, self.nvars, 1)
-        base = self
+        width = _width(self.degree() * e)
+        p = self.field.characteristic
+        result = _ONE
+        base = _pack(self, width)
         while e:
             if e & 1:
-                result = result._mul(base, max_degree)
+                result = _product(result, base, None, p)
             e >>= 1
             if e:
-                base = base._mul(base, max_degree)
-        return result
-
-    def __pow__(self, e: int):
-        return self._pow(e, None)
+                base = _product(base, base, None, p)
+        return _unpack(result, self.field, self.nvars, width)
 
     def __eq__(self, other):
         if not isinstance(other, MPoly):
@@ -216,10 +334,15 @@ class MPoly:
     def substitute(self, images: Sequence["MPoly"], max_degree=None) -> "MPoly":
         """Compose with the given images, one per variable.
 
-        All images must share a variable count and the field.  Powers of each
-        image are memoized (square-and-multiply) because composition is the
-        hot path of series inversion; ``max_degree`` truncates every product
-        by total degree, which is sound since degrees only add.
+        All images must share a variable count and the field.  The images
+        and ``self``'s coefficients are packed once (see the module
+        docstring); powers of each image are memoized (square-and-multiply)
+        in packed form because composition is the hot path of series
+        inversion, each term of ``self`` becomes a product of cached powers,
+        and all terms are summed into one accumulator that is converted back
+        once.  ``max_degree`` truncates every product by total degree, which
+        is sound since degrees only add; the result is the exact composition
+        with its terms above ``max_degree`` dropped.
         """
         if len(images) != self.nvars:
             raise ArityMismatch(f"{len(images)} images for {self.nvars} variables")
@@ -232,24 +355,48 @@ class MPoly:
             tgt._compat(im)
         if self.field != tgt.field:
             raise FieldMismatch(f"{self.field} vs {tgt.field}")
-        caches = [{0: MPoly.constant(tgt.field, tgt.nvars, 1), 1: im} for im in images]
+        field, nvars = tgt.field, tgt.nvars
+        p = field.characteristic
+        top = max(im.degree() for im in images)
+        bound = self.degree() * top
+        if max_degree is not None:
+            bound = min(bound, max_degree)
+        width = _width(max(bound, top))
+        limit = None if max_degree is None else (max_degree + 1) << (width * nvars)
+        packed = [_pack(im, width) for im in images]
+        caches = [{1: im} for im in packed]
 
         def power(j, e):
             cache = caches[j]
             if e not in cache:
                 half = power(j, e // 2)
-                sq = half._mul(half, max_degree)
-                cache[e] = sq._mul(images[j], max_degree) if e & 1 else sq
+                sq = _product(half, half, limit, p)
+                cache[e] = _product(sq, packed[j], limit, p) if e & 1 else sq
             return cache[e]
 
-        acc = MPoly.zero(tgt.field, tgt.nvars)
-        for exps, c in self.terms.items():
-            term = MPoly.constant(tgt.field, tgt.nvars, c)
+        # every term product's denominator divides prod(den_j ** e_j), so
+        # their lcm is a shared denominator for the whole sum
+        nums, den = _coefficients(self)
+        dens = [im[2] for im in packed]
+        shared = 1
+        if any(d != 1 for d in dens):
+            shared = lcm(*(prod(d**e for d, e in zip(dens, exps)) for exps in self.terms))
+        acc = {}
+        get = acc.get
+        for exps, num in zip(reversed(self.terms), nums):
+            term = _ONE
             for j, e in enumerate(exps):
                 if e:
-                    term = term._mul(power(j, e), max_degree)
-            acc = acc + term
-        return acc
+                    pw = power(j, e)
+                    term = pw if term is _ONE else _product(term, pw, limit, p)
+            keys, coeffs, d = term
+            if limit is not None:
+                stop = bisect_left(keys, limit)
+                keys, coeffs = keys[:stop], coeffs[:stop]
+            scale = num * (shared // d)
+            for k, c in zip(keys, coeffs):
+                acc[k] = get(k, 0) + scale * c
+        return _unpack(_reduce(acc, den * shared, p), field, nvars, width)
 
     def evaluate(self, point: Sequence):
         if len(point) != self.nvars:

@@ -145,10 +145,6 @@ class PolyMap:
         """First ``k`` components as a map on the first ``k`` variables."""
         return PolyMap(self.field, k, [c.restrict_vars(k) for c in self.components[:k]])
 
-    def embed(self, n: int) -> "PolyMap":
-        """The same components viewed in a ring with ``n`` variables."""
-        return PolyMap(self.field, n, [c.pad_vars(n) for c in self.components])
-
 
 class PolyMatrix:
     """Dense matrix with polynomial entries (all in the same ring)."""

@@ -16,6 +16,15 @@ def pmap(field, nvars, *texts):
     return PolyMap(field, nvars, [parse(t, nvars, field) for t in texts])
 
 
+def doubled_inverse(inverse):
+    """Fault injection: a Matrix.inverse that returns twice the true inverse."""
+
+    def wrong(self):
+        return Matrix(self.field, [[2 * e for e in row] for row in inverse(self).rows])
+
+    return wrong
+
+
 def perm_sign(perm):
     sign = 1
     for i in range(len(perm)):
@@ -75,6 +84,35 @@ def random_mpoly(rng, field, nvars, max_deg=3, max_terms=4, span=5):
             exps[rng.randrange(nvars)] += 1
         terms[tuple(exps)] = rng.randint(-span, span)
     return MPoly(field, nvars, terms)
+
+
+def naive_product(a, b, max_degree=None):
+    """Tuple-keyed convolution with field arithmetic: the reference for the
+    packed kernel behind ``*``."""
+    acc = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            key = tuple(x + y for x, y in zip(e1, e2))
+            if max_degree is None or sum(key) <= max_degree:
+                acc[key] = acc.get(key, a.field.zero) + c1 * c2
+    return MPoly(a.field, a.nvars, acc)
+
+
+def naive_substitute(poly, images, max_degree=None):
+    """Term-by-term composition built on ``naive_product``: the reference
+    for ``MPoly.substitute``."""
+    tgt = images[0]
+    total = MPoly.zero(tgt.field, tgt.nvars)
+    for exps, c in poly.terms.items():
+        term = MPoly.constant(tgt.field, tgt.nvars, c)
+        for image, e in zip(images, exps):
+            for _ in range(e):
+                term = naive_product(term, image, max_degree)
+        total = total + term
+    if max_degree is not None:
+        kept = {e: c for e, c in total.terms.items() if sum(e) <= max_degree}
+        total = MPoly(tgt.field, tgt.nvars, kept)
+    return total
 
 
 def rng_for(name):

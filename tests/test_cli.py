@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+from kellerlab import Matrix
 from kellerlab.cli import main
 from kellerlab.errors import TheoremViolation
+
+from conftest import doubled_inverse
 
 
 def write(tmp_path, name, payload):
@@ -243,3 +246,22 @@ class TestErrorPaths:
         payload = json.loads(err)
         assert payload["error"] == "TheoremViolation"
         assert payload["exit_code"] == 3
+
+    @pytest.mark.parametrize("site", ["reconstruct", "recomposed"])
+    def test_failed_inversion_check_is_exit_3(self, tmp_path, capsys, monkeypatch, site):
+        import kellerlab.inversion as inversion_module
+
+        if site == "reconstruct":
+            monkeypatch.setattr(Matrix, "inverse", doubled_inverse(Matrix.inverse))
+        else:
+            monkeypatch.setattr(inversion_module, "verify_inverse", lambda *maps: False)
+        affine = {"field": "Q", "nvars": 2, "polys": ["2*x1 + 1", "x2 + x1^2"]}
+        path = write(tmp_path, "map.json", affine)
+        code, out, err = run(capsys, ["invert", path])
+        assert code == 3 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "TheoremViolation"
+        assert payload["exit_code"] == 3
+        assert site in payload["message"]

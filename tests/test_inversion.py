@@ -26,9 +26,11 @@ from kellerlab.errors import (
     NotNormalized,
     NotStrictlyLowerTriangular,
     SingularLinearPart,
+    TheoremViolation,
 )
+import kellerlab.inversion as inversion_module
 
-from conftest import P, pmap, rng_for
+from conftest import P, doubled_inverse, pmap, rng_for
 
 F5 = PrimeField(5)
 
@@ -65,6 +67,11 @@ class TestNormalizeAffine:
     def test_singular_linear_part_rejected(self):
         with pytest.raises(SingularLinearPart):
             normalize_affine(pmap(QQ, 2, "x1 + x2", "x1 + x2 + x1^2"))
+
+    def test_failed_reconstruction_is_theorem_violation(self, monkeypatch):
+        monkeypatch.setattr(Matrix, "inverse", doubled_inverse(Matrix.inverse))
+        with pytest.raises(TheoremViolation, match="reconstruct"):
+            normalize_affine(pmap(QQ, 2, "x1 + 1", "x2 + x1^2"))
 
 
 class TestFormalInverse:
@@ -137,6 +144,11 @@ class TestInverseDegree:
         assert inverse_degree(F) == 2
         res = invert_polymap(F)
         assert verify_inverse(F, res.inverse)
+
+    def test_failed_recomposition_is_theorem_violation(self, monkeypatch):
+        monkeypatch.setattr(inversion_module, "verify_inverse", lambda *maps: False)
+        with pytest.raises(TheoremViolation, match="recomposed"):
+            invert_polymap(pmap(QQ, 2, "2*x1 + 1", "x2 + x1^2 - 3"))
 
 
 class TestTriangularInverse:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -12,11 +13,28 @@ from kellerlab.errors import (
     ParseError,
 )
 
-from conftest import P, random_mpoly, rng_for
+from conftest import P, naive_product, naive_substitute, random_mpoly, rng_for
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+F101 = PrimeField(101)
+
+
+def monomial(field, nvars, exps, c=1):
+    return MPoly(field, nvars, {tuple(exps): c})
+
+
+def assert_canonical(r):
+    """A kernel result equals, term for term and in order, what the
+    validating constructor makes of its own terms."""
+    rebuilt = MPoly(r.field, r.nvars, dict(r.terms))
+    assert rebuilt == r
+    assert list(rebuilt.terms.items()) == list(r.terms.items())
+    for exps, c in r.terms.items():
+        assert type(exps) is tuple and len(exps) == r.nvars
+        assert all(type(e) is int and e >= 0 for e in exps)
+        assert r.field.coerce(c) is c and c
 
 
 class TestRingOps:
@@ -144,6 +162,116 @@ class TestSubstitute:
                     QQ, 2, {e: c for e, c in full.terms.items() if sum(e) <= bound}
                 )
                 assert truncated == expected
+
+
+class TestPackedKernel:
+    @pytest.mark.parametrize("e", [255, 256, 65535, 65536])
+    def test_exponents_at_field_width_boundaries(self, e):
+        x1, x2 = MPoly.variables(QQ, 2)
+        high1, high2 = monomial(QQ, 2, (e, 0)), monomial(QQ, 2, (0, e))
+        assert (high1 * x1).terms == {(e + 1, 0): 1}
+        assert (high1 * x2).terms == {(e, 1): 1}
+        assert (high2 * x2).terms == {(0, e + 1): 1}
+        assert (high1 * (x1 + x2)).terms == {(e + 1, 0): 1, (e, 1): 1}
+        assert (x2**e).terms == {(0, e): 1}
+        for r in (high1 * x1, high2 * (x1 + x2), x2**e):
+            assert_canonical(r)
+
+    def test_binomial_power_crosses_a_width_boundary(self):
+        x1, x2 = MPoly.variables(QQ, 2)
+        r = (x1 + x2) ** 255 * x2
+        assert r.terms == {(k, 256 - k): comb(255, k) for k in range(255, -1, -1)}
+        assert_canonical(r)
+
+    def test_images_above_max_degree(self):
+        # the packed images are wider than the truncated result, so the width
+        # must come from the images too
+        for field in (QQ, F101):
+            x1, x2 = MPoly.variables(field, 2)
+            p = P("x1 + 3*x2^2 + x1*x2 + 2", 2, field)
+            for top in (5, 255, 256):
+                images = [monomial(field, 2, (top, 0)) + x2, x1 - x2 * 4]
+                for bound in (0, 1, 2, 3):
+                    r = p.substitute(images, max_degree=bound)
+                    assert r == naive_substitute(p, images, bound)
+                    assert_canonical(r)
+
+    def test_max_degree_equal_to_product_degree(self):
+        rng = rng_for("kernel-exact-bound")
+        for field in (QQ, F5):
+            for _ in range(10):
+                p = random_mpoly(rng, field, 2, max_deg=3)
+                images = [random_mpoly(rng, field, 2, max_deg=2) for _ in range(2)]
+                full = p.substitute(images)
+                exact = full.degree()
+                assert p.substitute(images, max_degree=exact) == full
+                below = p.substitute(images, max_degree=exact - 1)
+                assert below == naive_substitute(p, images, exact - 1)
+                assert below.degree() < exact or below.is_zero()
+
+    @pytest.mark.parametrize("nvars", [1, 7])
+    def test_against_naive_reference(self, nvars):
+        rng = rng_for(f"kernel-naive-{nvars}")
+        for field in (QQ, F5, F101):
+            for _ in range(8):
+                a = random_mpoly(rng, field, nvars, max_deg=4, max_terms=5)
+                b = random_mpoly(rng, field, nvars, max_deg=4, max_terms=5)
+                images = [
+                    random_mpoly(rng, field, nvars, max_deg=2, max_terms=3) for _ in range(nvars)
+                ]
+                for r, expected in (
+                    (a * b, naive_product(a, b)),
+                    (a**3, naive_product(naive_product(a, a), a)),
+                    (a.substitute(images), naive_substitute(a, images)),
+                    (a.substitute(images, max_degree=3), naive_substitute(a, images, 3)),
+                ):
+                    assert r == expected
+                    assert_canonical(r)
+
+    def test_coprime_denominators(self):
+        a = P("1/2*x1 + 1/3*x2 + 5/7", 2, QQ)
+        b = P("5/7*x1^2 - 1/3*x2 + 1/2", 2, QQ)
+        assert a * b == naive_product(a, b)
+        assert (a * b).constant_term() == Fraction(5, 14)
+        assert (a * b).coefficient((0, 1)) == Fraction(-1, 14)
+        assert a**3 == naive_product(naive_product(a, a), a)
+        images = [P("1/3*x1 + 1/2*x2^2", 2, QQ), P("5/7*x2 - 1/2", 2, QQ)]
+        for r, expected in (
+            (b.substitute(images), naive_substitute(b, images)),
+            (b.substitute(images, max_degree=2), naive_substitute(b, images, 2)),
+            (a.substitute(images), naive_substitute(a, images)),
+        ):
+            assert r == expected
+            assert_canonical(r)
+
+    def test_cancellation_to_zero_in_small_characteristic(self):
+        x1, x2 = MPoly.variables(F2, 2)
+        assert (x1 + 1) * (x1 + 1) == x1 * x1 + 1
+        assert (x1 + x2) ** 4 == x1**4 + x2**4
+        assert P("x1^2 + x2", 2, F2).substitute([x1 + x2, x1 * x1 + x2 * x2]).is_zero()
+        y1, y2 = MPoly.variables(F3, 2)
+        assert (y1 + 1) ** 3 == y1**3 + 1
+        assert (y1 + 2) * (y1 + 1) == y1 * y1 + 2
+        composed = P("x1^3 - x2", 2, F3).substitute([y1 + 1, y1**3 + 1])
+        assert composed.is_zero() and composed.terms == {}
+        assert P("x1^3", 2, F3).substitute([y1 + 1, y2], max_degree=2) == MPoly.constant(F3, 2, 1)
+
+    def test_zero_and_constant_operands(self):
+        for field in (QQ, F5):
+            p = P("2*x1^2 + x2 + 1", 2, field)
+            zero = MPoly.zero(field, 2)
+            seven = MPoly.constant(field, 2, 7)
+            assert p * zero == zero and zero * p == zero and zero * zero == zero
+            assert (p * seven).terms == {e: c * 7 for e, c in p.terms.items()}
+            assert 3 * p == p * 3 == p + p + p
+            assert zero**0 == MPoly.constant(field, 2, 1)
+            assert zero**3 == zero
+            assert seven**2 == MPoly.constant(field, 2, 49)
+            assert zero.substitute([p, p]) == zero
+            assert seven.substitute([p, p]) == seven
+            assert p.substitute([zero, zero]) == MPoly.constant(field, 2, 1)
+            assert p.substitute([seven, zero], max_degree=0) == MPoly.constant(field, 2, 99)
+            assert p.substitute([seven, p], max_degree=1) == naive_substitute(p, [seven, p], 1)
 
 
 class TestHomogeneous:
