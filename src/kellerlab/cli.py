@@ -161,6 +161,8 @@ def _cmd_keller(args):
 
 
 def _cmd_invert(args):
+    if args.max_deg is not None and args.max_deg < 1:
+        raise _UsageError("--max-deg must be at least 1")
     polymap, raw = load_mapfile(args.mapfile)
     result = invert_polymap(polymap, args.max_deg)
     return {
@@ -177,6 +179,8 @@ def _cmd_inverse_degree(args):
 
 
 def _cmd_druzkowski(args):
+    if args.deg < 1:
+        raise _UsageError("--deg must be at least 1")
     field = _field_from_flag(args.field)
     matrix = load_matrixfile(args.matrix, field)
     polymap = power_linear(matrix, args.deg)
@@ -244,6 +248,8 @@ def _cmd_rank_drop(args):
 
 
 def _cmd_collide(args):
+    if args.r < 2:
+        raise _UsageError("-r must be at least 2")
     polymap, raw = load_mapfile(args.mapfile)
     field = polymap.field
     budget = args.budget

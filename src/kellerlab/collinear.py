@@ -411,11 +411,12 @@ def _line_injectivity_rational(polymap: PolyMap, direction) -> LineInjectivity:
 def collision_search(polymap: PolyMap, r: int, budget: Optional[int] = None) -> list:
     """Exhaustively find all lines where r points share an image, over F_p.
 
-    Scans base points in lexicographic order and directions in lexicographic
-    order with the first nonzero coordinate normalized to 1; a line is
-    processed at its lexicographically smallest point, so each line is seen
-    once and the output order is deterministic.  One witness is emitted per
-    (line, image) pair whose image is attained at least r times, normalized
+    Directions have their first nonzero (pivot) coordinate normalized to 1,
+    so the lexicographically smallest point of a line is its canonical
+    point, the one whose pivot coordinate is 0.  Each line is built once, as
+    a pair (canonical point, direction), and the pairs are visited sorted by
+    (base, b), so the output order is deterministic.  One witness is emitted
+    per (line, image) pair whose image is attained at least r times, normalized
     by translating the first collision point to the origin; parameters are
     the point offsets along the line and the degree list is 0..r.
 
@@ -439,18 +440,17 @@ def collision_search(polymap: PolyMap, r: int, budget: Optional[int] = None) -> 
         raise BudgetExceeded(budget, required)
     points = list(itertools.product(range(p), repeat=n))
     table = {pt: polymap.evaluate(pt) for pt in points}
-    directions = [
-        b for b in points if any(b) and b[next(k for k in range(n) if b[k])] == 1
-    ]
+    # (direction, pivot): the first nonzero coordinate of the direction is 1
+    directions = [(b, b.index(1)) for b in points if next(filter(None, b), 0) == 1]
     det_nonconstant = not polymap.is_keller()
     map_degree = polymap.degree()
     degrees = tuple(range(r + 1))
     witnesses = []
     for base in points:
-        for b in directions:
-            line_pts = [tuple((base[k] + t * b[k]) % p for k in range(n)) for t in range(p)]
-            if min(line_pts) != base:
+        for b, pivot in directions:
+            if base[pivot]:
                 continue
+            line_pts = [tuple((base[k] + t * b[k]) % p for k in range(n)) for t in range(p)]
             groups: dict = {}
             for t, pt in enumerate(line_pts):
                 groups.setdefault(table[pt], []).append(t)

@@ -24,15 +24,38 @@ from .errors import (
 )
 
 
+# Miller-Rabin over the primes 2..41 is exact below this bound (the least
+# strong pseudoprime to all thirteen bases; Sorenson and Webster, 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality check; intended moduli are desk-scale."""
+    """Deterministic Miller-Rabin primality check over the prime bases 2..41.
+
+    The answer is exact below 3.3e24; a larger ``n`` raises ``ParseError``
+    rather than getting a probabilistic answer.
+    """
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    if n >= _MR_EXACT_BELOW:
+        raise ParseError(f"modulus {n} is too large to certify as prime (limit 3.3e24)")
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -5,7 +5,17 @@ used to cross-check the elimination-based implementations."""
 import itertools
 import random
 
-from kellerlab import Matrix, MPoly, PolyMap, parse
+from kellerlab import (
+    CollisionWitness,
+    Matrix,
+    MPoly,
+    PolyMap,
+    TheoremViolation,
+    find_rank_drop,
+    generalized_vandermonde,
+    parse,
+)
+from kellerlab.errors import PreconditionFailed
 
 
 def P(text, nvars, field):
@@ -113,6 +123,60 @@ def naive_substitute(poly, images, max_degree=None):
         kept = {e: c for e, c in total.terms.items() if sum(e) <= max_degree}
         total = MPoly(tgt.field, tgt.nvars, kept)
     return total
+
+
+def naive_collision_search(polymap, r):
+    """Every-base line loop: builds each line at all p of its points and
+    keeps it only at its lexicographically smallest one.  The order-exact
+    reference for ``collision_search`` (argument checks left out)."""
+    field = polymap.field
+    p, n = field.p, polymap.n
+    points = list(itertools.product(range(p), repeat=n))
+    table = {pt: polymap.evaluate(pt) for pt in points}
+    directions = [
+        b for b in points if any(b) and b[next(k for k in range(n) if b[k])] == 1
+    ]
+    det_nonconstant = not polymap.is_keller()
+    map_degree = polymap.degree()
+    degrees = tuple(range(r + 1))
+    witnesses = []
+    for base in points:
+        for b in directions:
+            line_pts = [tuple((base[k] + t * b[k]) % p for k in range(n)) for t in range(p)]
+            if min(line_pts) != base:
+                continue
+            groups: dict = {}
+            for t, pt in enumerate(line_pts):
+                groups.setdefault(table[pt], []).append(t)
+            for ts in groups.values():
+                if len(ts) < r:
+                    continue
+                sel = ts[:r]
+                origin = line_pts[sel[0]]
+                params = tuple(field.coerce(t - sel[0]) for t in sel)
+                vandermonde = generalized_vandermonde(field, params, degrees[:r])
+                translated = polymap.translate([field.coerce(c) for c in origin])
+                try:
+                    drop = find_rank_drop(translated, b, params, degrees)
+                    drop_value = drop.value
+                except PreconditionFailed:
+                    drop_value = None
+                witness = CollisionWitness(
+                    b=tuple(field.coerce(c) for c in b),
+                    base=tuple(field.coerce(c) for c in origin),
+                    params=params,
+                    degrees=degrees,
+                    vandermonde_rank=vandermonde.rank(),
+                    rank_drop_param=drop_value,
+                    det_jac_nonconstant=det_nonconstant,
+                )
+                if r >= map_degree and r % p != 0 and not det_nonconstant:
+                    raise TheoremViolation(
+                        "collision witness against a map with unit Jacobian "
+                        f"determinant (r = {r}, degree {map_degree})"
+                    )
+                witnesses.append(witness)
+    return witnesses
 
 
 def rng_for(name):

@@ -222,9 +222,34 @@ class TestErrorPaths:
         assert code == 1
         assert "prime" in json.loads(err)["message"]
 
+    def test_modulus_too_large_to_certify_is_exit_1(self, capsys):
+        argv = ["vandermonde", "--points", "1", "--degrees", "0", "--field", f"Fp:{2**89 - 1}"]
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "ParseError"
+
     def test_usage_error_is_exit_1(self, capsys):
         code, _, err = run(capsys, ["no-such-command"])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["collide", "MAP", "-r", "1"],
+            ["invert", "MAP", "--max-deg", "0"],
+            ["druzkowski", "--matrix", "A", "--deg", "0"],
+        ],
+        ids=["collide-r", "invert-max-deg", "druzkowski-deg"],
+    )
+    def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys, argv):
+        files = {"MAP": write(tmp_path, "map.json", ZERO_MAP_F2), "A": write(tmp_path, "A.json", [["0"]])}
+        code, out, err = run(capsys, [files.get(tok, tok) for tok in argv])
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "UsageError"
+        assert argv[-2] in payload["message"]
 
     def test_precondition_is_exit_2(self, tmp_path, capsys):
         path = write(tmp_path, "map.json", {"field": "Q", "nvars": 2, "polys": ["x1"]})

@@ -25,11 +25,12 @@ from kellerlab.errors import (
     ZeroDirection,
 )
 
-from conftest import P, pmap, random_mpoly, rng_for
+from conftest import P, naive_collision_search, pmap, random_mpoly, rng_for
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+F7 = PrimeField(7)
 
 
 class TestLineRestriction:
@@ -380,6 +381,27 @@ class TestCollisionSearch:
         first = collision_search(F, 2)
         second = collision_search(F, 2)
         assert first == second
+
+    # n = 3 stops at F_5: over F_7 the reference loop takes seconds per map
+    @pytest.mark.parametrize(
+        "field,n",
+        [(F, n) for F in (F2, F3, F5, F7) for n in (1, 2, 3) if F.p**n <= 125],
+        ids=lambda v: repr(v) if isinstance(v, PrimeField) else f"n{v}",
+    )
+    def test_matches_every_base_loop_in_order(self, field, n):
+        rng = rng_for(f"collide-order-{field.p}-{n}")
+        found = 0
+        for map_degree in (2, 3):
+            for r in (2, 3):  # includes r >= map degree
+                while True:
+                    comps = [random_mpoly(rng, field, n, max_deg=map_degree) for _ in range(n)]
+                    F = PolyMap(field, n, comps)
+                    if F.degree() == map_degree:
+                        break
+                witnesses = collision_search(F, r)
+                assert witnesses == naive_collision_search(F, r)
+                found += len(witnesses)
+        assert found
 
     def test_matches_brute_force_oracle(self):
         # count (line, image) collision pairs directly from all point pairs

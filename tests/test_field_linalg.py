@@ -38,6 +38,13 @@ class TestFields:
         assert PrimeField(2).p == 2
         assert is_prime(9973) and not is_prime(9991)  # 9991 = 97 * 103
 
+    def test_modulus_beyond_exact_primality_test_rejected(self):
+        # the least strong pseudoprime to every base 2..41: no answer, not True
+        with pytest.raises(ParseError):
+            is_prime(3317044064679887385961981)
+        with pytest.raises(ParseError):
+            PrimeField(2**89 - 1)
+
     def test_rational_coercion_is_exact(self):
         assert QQ.coerce(2) == Fraction(2)
         assert QQ.from_literal(3, 6) == Fraction(1, 2)

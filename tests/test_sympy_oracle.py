@@ -1,11 +1,13 @@
-"""Differential tests of MPoly products, powers and composition against
-sympy's ``Poly`` (an independent implementation), over Q and over F_p."""
+"""Differential tests against sympy (an independent implementation): MPoly
+products, powers and composition against ``Poly`` over Q and over F_p, and
+``is_prime`` against ``isprime``."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
-from kellerlab import MPoly, PrimeField, QQ
+from kellerlab import MPoly, PrimeField, QQ, is_prime
 
 from conftest import random_mpoly, rng_for
 
@@ -72,3 +74,36 @@ def test_substitute_full_and_truncated(field):
         assert p.substitute(images) == from_sympy(expected, field)
         for bound in (0, 2, 3, 5):
             assert p.substitute(images, max_degree=bound) == from_sympy(expected, field, bound)
+
+
+def test_is_prime_matches_sympy():
+    rng = rng_for("sympy-isprime")
+    values = list(range(-2, 3000))
+    for digits in (6, 12, 18, 24):
+        for _ in range(60):
+            n = rng.randrange(10 ** (digits - 1), 10**digits)
+            half = sympy.nextprime(rng.randrange(10 ** (digits // 2 - 1), 10 ** (digits // 2)))
+            values += [n, sympy.nextprime(n), half * sympy.nextprime(half)]
+    for n in values:
+        assert is_prime(n) == sympy.isprime(n), n
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        561,  # Carmichael number
+        2047,  # strong pseudoprime to base 2
+        3215031751,  # strong pseudoprime to bases 2, 3, 5 and 7
+        3825123056546413051,  # strong pseudoprime to bases 2..23
+        3317044064679887385961813,  # largest prime below the exact bound
+    ],
+)
+def test_is_prime_fixed_cases(n):
+    assert is_prime(n) == sympy.isprime(n)
+
+
+def test_is_prime_near_10_to_18_is_fast():
+    n = sympy.nextprime(10**18)
+    start = time.perf_counter()
+    assert is_prime(n)
+    assert time.perf_counter() - start < 0.1
