@@ -5,83 +5,108 @@ or integers modulo a prime): polynomial maps and their Jacobians, the Keller
 condition, bounded formal inversion with sharp degree bounds for power-linear
 maps, kernel-based reductions, and collinear-collision certificates over
 prime fields.
+
+The public names below load their module on first use (PEP 562), so
+``import kellerlab`` itself imports nothing else.
 """
 
 __version__ = "0.1.0"
 
-from .errors import (
-    ArityMismatch,
-    BadIndex,
-    BadSubInverse,
-    BadVariable,
-    BudgetExceeded,
-    DependenceViolation,
-    DependentInput,
-    DivisorNotUnit,
-    FieldMismatch,
-    InconsistentReduction,
-    KellerlabError,
-    NonSquare,
-    NotHomogeneous,
-    NotInvertibleUpToBound,
-    NotNormalized,
-    NotStrictlyLowerTriangular,
-    ParseError,
-    PreconditionError,
-    PreconditionFailed,
-    SingularLinearPart,
-    SingularMatrix,
-    TheoremViolation,
-    ZeroDirection,
-)
-from .field_linalg import (
-    Field,
-    Fp,
-    Matrix,
-    PrimeField,
-    QQ,
-    Rationals,
-    complete_to_basis,
-    generalized_vandermonde,
-    is_prime,
-    parse_scalar,
-)
-from .mpoly import MPoly, UniPoly, parse, rational_roots, render
-from .polymap import PolyMap, PolyMatrix, euler_check, hadamard_power, power_linear
-from .inversion import (
-    AffineNormalization,
-    InverseResult,
-    VERDICT_NOT_UP_TO_BOUND,
-    VERDICT_POLYNOMIAL,
-    extend_inverse,
-    formal_inverse,
-    inverse_degree,
-    invert_polymap,
-    is_normalized,
-    normalize_affine,
-    triangular_inverse,
-    verify_inverse,
-)
-from .reduction import (
-    DegreeBoundReport,
-    KernelReduction,
-    constant_kernel,
-    degree_bound_report,
-    kernel_conjugate,
-    pair_reduction,
-)
-from .collinear import (
-    CollisionWitness,
-    DEFAULT_COLLISION_BUDGET,
-    LineData,
-    LineInjectivity,
-    RankDropResult,
-    collision_search,
-    find_rank_drop,
-    verify_coefficient_rank,
-    line_injectivity,
-    line_restriction,
-    verify_collision_obstruction,
-)
+_EXPORTS = {
+    "errors": (
+        "ArityMismatch",
+        "BadIndex",
+        "BadSubInverse",
+        "BadVariable",
+        "BudgetExceeded",
+        "DependenceViolation",
+        "DependentInput",
+        "DivisorNotUnit",
+        "FieldMismatch",
+        "InconsistentReduction",
+        "KellerlabError",
+        "NonSquare",
+        "NotHomogeneous",
+        "NotInvertibleUpToBound",
+        "NotNormalized",
+        "NotStrictlyLowerTriangular",
+        "ParseError",
+        "PreconditionError",
+        "PreconditionFailed",
+        "SingularLinearPart",
+        "SingularMatrix",
+        "TheoremViolation",
+        "ZeroDirection",
+    ),
+    "field_linalg": (
+        "Field",
+        "Fp",
+        "Matrix",
+        "PrimeField",
+        "QQ",
+        "Rationals",
+        "complete_to_basis",
+        "generalized_vandermonde",
+        "is_prime",
+        "parse_scalar",
+    ),
+    "mpoly": ("MPoly", "UniPoly", "parse", "rational_roots", "render"),
+    "polymap": ("PolyMap", "PolyMatrix", "euler_check", "hadamard_power", "power_linear"),
+    "inversion": (
+        "AffineNormalization",
+        "InverseResult",
+        "VERDICT_NOT_UP_TO_BOUND",
+        "VERDICT_POLYNOMIAL",
+        "extend_inverse",
+        "formal_inverse",
+        "inverse_degree",
+        "invert_polymap",
+        "is_normalized",
+        "normalize_affine",
+        "triangular_inverse",
+        "verify_inverse",
+    ),
+    "reduction": (
+        "DegreeBoundReport",
+        "KernelReduction",
+        "constant_kernel",
+        "degree_bound_report",
+        "kernel_conjugate",
+        "pair_reduction",
+    ),
+    "collinear": (
+        "CollisionWitness",
+        "DEFAULT_COLLISION_BUDGET",
+        "LineData",
+        "LineInjectivity",
+        "RankDropResult",
+        "collision_search",
+        "find_rank_drop",
+        "verify_coefficient_rank",
+        "line_injectivity",
+        "line_restriction",
+        "verify_collision_obstruction",
+    ),
+}
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# public name -> defining submodule; each submodule is public under its own name
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+_MODULE_OF.update((module, module) for module in _EXPORTS)
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module_name = _MODULE_OF.get(name)
+    if module_name is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    module = import_module(f".{module_name}", __name__)
+    value = module if name == module_name else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -34,14 +34,32 @@ from .field_linalg import Field, Matrix, PrimeField, QQ, generalized_vandermonde
 from .mpoly import parse as parse_poly
 from .mpoly import render
 from .polymap import PolyMap, power_linear
-from .inversion import invert_polymap, inverse_degree, is_normalized, normalize_affine
-from .reduction import degree_bound_report, kernel_conjugate, pair_reduction
-from .collinear import (
-    DEFAULT_COLLISION_BUDGET,
-    collision_search,
-    find_rank_drop,
-    line_injectivity,
-)
+
+# Handlers import from these modules when they run, so a process loads only
+# its own subcommand's modules and looks each function up at call time (a
+# wrapper installed on the defining module is what runs).  The names stay
+# readable as attributes of this module.
+_DEFERRED = {
+    "invert_polymap": "inversion",
+    "inverse_degree": "inversion",
+    "is_normalized": "inversion",
+    "normalize_affine": "inversion",
+    "degree_bound_report": "reduction",
+    "kernel_conjugate": "reduction",
+    "pair_reduction": "reduction",
+    "collision_search": "collinear",
+    "find_rank_drop": "collinear",
+    "line_injectivity": "collinear",
+}
+
+
+def __getattr__(name):
+    module = _DEFERRED.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f".{module}", __package__), name)
 
 
 class _UsageError(Exception):
@@ -89,7 +107,7 @@ def _load_json(path: str):
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
     try:
         return json.loads(raw), raw
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deeply
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -140,6 +158,8 @@ def _render_matrix(matrix: Matrix) -> list:
 
 
 def _normalized_for_reduction(polymap: PolyMap):
+    from .inversion import is_normalized, normalize_affine
+
     if is_normalized(polymap):
         return polymap, False
     return normalize_affine(polymap).core, True
@@ -163,6 +183,8 @@ def _cmd_keller(args):
 def _cmd_invert(args):
     if args.max_deg is not None and args.max_deg < 1:
         raise _UsageError("--max-deg must be at least 1")
+    from .inversion import invert_polymap
+
     polymap, raw = load_mapfile(args.mapfile)
     result = invert_polymap(polymap, args.max_deg)
     return {
@@ -174,6 +196,8 @@ def _cmd_invert(args):
 
 
 def _cmd_inverse_degree(args):
+    from .inversion import inverse_degree
+
     polymap, raw = load_mapfile(args.mapfile)
     return {"degree": inverse_degree(polymap)}, raw
 
@@ -193,6 +217,8 @@ def _cmd_druzkowski(args):
 
 
 def _cmd_reduce(args):
+    from .reduction import degree_bound_report, kernel_conjugate, pair_reduction
+
     polymap, raw = load_mapfile(args.mapfile)
     core, was_normalized = _normalized_for_reduction(polymap)
     reduction = kernel_conjugate(core)
@@ -220,6 +246,8 @@ def _cmd_reduce(args):
 
 
 def _cmd_line_check(args):
+    from .collinear import line_injectivity
+
     polymap, raw = load_mapfile(args.mapfile)
     point = _scalars(args.point, polymap.field)
     verdict = line_injectivity(polymap, point)
@@ -234,6 +262,8 @@ def _cmd_line_check(args):
 
 
 def _cmd_rank_drop(args):
+    from .collinear import find_rank_drop
+
     polymap, raw = load_mapfile(args.mapfile)
     field = polymap.field
     direction = _scalars(args.dir, field)
@@ -250,6 +280,8 @@ def _cmd_rank_drop(args):
 def _cmd_collide(args):
     if args.r < 2:
         raise _UsageError("-r must be at least 2")
+    from .collinear import collision_search
+
     polymap, raw = load_mapfile(args.mapfile)
     field = polymap.field
     budget = args.budget

@@ -6,9 +6,8 @@ injectivity, and exhaustive collinear-collision search over prime fields.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -24,8 +23,7 @@ from .polymap import PolyMap
 DEFAULT_COLLISION_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True, slots=True)
-class LineData:
+class LineData(NamedTuple):
     """Coefficient data of G(t) = F(t b) - F(base b).
 
     ``C`` is the m x len(degrees) matrix with G_i(t) = sum_k C[i][k] *
@@ -47,8 +45,7 @@ class LineData:
         return UniPoly(field, coeffs)
 
 
-@dataclass(frozen=True, slots=True)
-class CollisionWitness:
+class CollisionWitness(NamedTuple):
     """A line on which a map takes the same value at least r times.
 
     Scalars are normalized so the collision points are ``base + params[i] *
@@ -66,8 +63,7 @@ class CollisionWitness:
     det_jac_nonconstant: bool
 
 
-@dataclass(frozen=True, slots=True)
-class RankDropResult:
+class RankDropResult(NamedTuple):
     """Outcome of a rank-drop search along a line.
 
     ``value`` is the scalar a with (jac F) at a*b killing b, or None when the
@@ -83,8 +79,7 @@ class RankDropResult:
         return self.value is not None
 
 
-@dataclass(frozen=True, slots=True)
-class LineInjectivity:
+class LineInjectivity(NamedTuple):
     """Verdict of an injectivity check on one line.
 
     ``certified`` is False only over Q when no rational counterexample was
@@ -446,6 +441,7 @@ def collision_search(polymap: PolyMap, r: int, budget: Optional[int] = None) -> 
     map_degree = polymap.degree()
     degrees = tuple(range(r + 1))
     witnesses = []
+    translations = {}  # origin -> the map translated there, built once per call
     for base in points:
         for b, pivot in directions:
             if base[pivot]:
@@ -461,7 +457,10 @@ def collision_search(polymap: PolyMap, r: int, budget: Optional[int] = None) -> 
                 origin = line_pts[sel[0]]
                 params = tuple(field.coerce(t - sel[0]) for t in sel)
                 vandermonde = generalized_vandermonde(field, params, degrees[:r])
-                translated = polymap.translate([field.coerce(c) for c in origin])
+                translated = translations.get(origin)
+                if translated is None:
+                    translated = polymap.translate([field.coerce(c) for c in origin])
+                    translations[origin] = translated
                 try:
                     drop = find_rank_drop(translated, b, params, degrees)
                     drop_value = drop.value

@@ -5,8 +5,7 @@ extension along dependence-restricted components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     ArityMismatch,
@@ -28,8 +27,7 @@ VERDICT_POLYNOMIAL = "PolynomialInverse"
 VERDICT_NOT_UP_TO_BOUND = "NotPolynomialUpToBound"
 
 
-@dataclass(frozen=True, slots=True)
-class InverseResult:
+class InverseResult(NamedTuple):
     """Outcome of a bounded inversion attempt.
 
     ``inverse`` always carries the candidate map; it is a verified two-sided
@@ -48,8 +46,7 @@ class InverseResult:
         return self.verdict == VERDICT_POLYNOMIAL
 
 
-@dataclass(frozen=True, slots=True)
-class AffineNormalization:
+class AffineNormalization(NamedTuple):
     """Split F = L * core + c with core of the shape x + (order >= 2)."""
 
     linear: Matrix

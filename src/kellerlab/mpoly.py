@@ -18,6 +18,8 @@ multiplication):
 
 Note the grammar binds unary minus tighter than "^": ``-x1^2`` is
 ``(-x1)^2``.  The renderer never emits that shape, so parse(render(p)) == p.
+Parentheses and unary minus nest at most ``MAX_NESTING`` levels deep; a
+deeper expression is a ParseError.
 
 Products (``*``, ``**``) and :meth:`MPoly.substitute` run on a packed
 integer kernel (packed monomials after Monagan & Pearce, ISSAC 2009).  Each
@@ -121,6 +123,16 @@ def _product(a: tuple, b: tuple, limit, p: int) -> tuple:
             k = k1 + k2
             acc[k] = get(k, 0) + c1 * c2
     return _reduce(acc, aden * bden, p)
+
+
+def _power(cache: dict, e: int, limit, p: int) -> tuple:
+    """The e-th power of the packed ``cache[1]`` by square-and-multiply,
+    truncated like ``_product``; every power built is kept in ``cache``."""
+    if e not in cache:
+        half = _power(cache, e // 2, limit, p)
+        sq = _product(half, half, limit, p)
+        cache[e] = _product(sq, cache[1], limit, p) if e & 1 else sq
+    return cache[e]
 
 
 def _reduce(acc: dict, den: int, p: int) -> tuple:
@@ -366,14 +378,6 @@ class MPoly:
         packed = [_pack(im, width) for im in images]
         caches = [{1: im} for im in packed]
 
-        def power(j, e):
-            cache = caches[j]
-            if e not in cache:
-                half = power(j, e // 2)
-                sq = _product(half, half, limit, p)
-                cache[e] = _product(sq, packed[j], limit, p) if e & 1 else sq
-            return cache[e]
-
         # every term product's denominator divides prod(den_j ** e_j), so
         # their lcm is a shared denominator for the whole sum
         nums, den = _coefficients(self)
@@ -387,7 +391,7 @@ class MPoly:
             term = _ONE
             for j, e in enumerate(exps):
                 if e:
-                    pw = power(j, e)
+                    pw = _power(caches[j], e, limit, p)
                     term = pw if term is _ONE else _product(term, pw, limit, p)
             keys, coeffs, d = term
             if limit is not None:
@@ -623,6 +627,10 @@ def _divisors(n: int) -> list:
 
 # ---- text grammar -------------------------------------------------------
 
+# the parser recurses a few frames per level of "(" or unary "-", so the
+# depth is bounded well below Python's recursion limit
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, text: str, nvars: int, field: Field):
@@ -631,9 +639,19 @@ class _Parser:
         self.nvars = nvars
         self.field = field
         self.pos = 0
+        self.depth = 0
 
     def fail(self, message: str, pos=None):
         raise ParseError(message, offset=(self.pos if pos is None else pos) + 1)
+
+    def nested(self, parse_inner) -> MPoly:
+        """Parse one level deeper, failing beyond ``MAX_NESTING``."""
+        if self.depth == MAX_NESTING:
+            self.fail(f"expression nested more than {MAX_NESTING} levels deep")
+        self.depth += 1
+        node = parse_inner()
+        self.depth -= 1
+        return node
 
     def skip_ws(self):
         while self.pos < self.end and self.text[self.pos].isspace():
@@ -683,10 +701,10 @@ class _Parser:
         c = self.peek()
         if c == "-":
             self.pos += 1
-            return -self.base()
+            return -self.nested(self.base)
         if c == "(":
             self.pos += 1
-            node = self.expr()
+            node = self.nested(self.expr)
             if self.peek() != ")":
                 self.fail("expected ')'")
             self.pos += 1

@@ -5,8 +5,7 @@ and inverse-degree bound reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     InconsistentReduction,
@@ -22,8 +21,7 @@ from .inversion import _require_normalized, formal_inverse
 CHAR_P_NOTE = "char-p: bound not asserted for positive characteristic"
 
 
-@dataclass(frozen=True, slots=True)
-class KernelReduction:
+class KernelReduction(NamedTuple):
     """Conjugation data G = T^{-1} F(Tx) with the constant kernel of
     jac(G - x) equal to the span of the last n - r coordinates."""
 
@@ -33,8 +31,7 @@ class KernelReduction:
     conjugated: PolyMap
 
 
-@dataclass(frozen=True, slots=True)
-class DegreeBoundReport:
+class DegreeBoundReport(NamedTuple):
     """Inverse-degree bookkeeping for a normalized map x + H.
 
     ``bound`` is d^r for r = n - dim(constant kernel of jac H); the fallback

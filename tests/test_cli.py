@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kellerlab import Matrix
 from kellerlab.cli import main
 from kellerlab.errors import TheoremViolation
+from kellerlab.mpoly import MAX_NESTING
 
 from conftest import doubled_inverse
 
@@ -251,6 +257,38 @@ class TestErrorPaths:
         assert payload["error"] == "UsageError"
         assert argv[-2] in payload["message"]
 
+    @pytest.mark.parametrize(
+        "text",
+        ["(" * 3000 + "x1" + ")" * 3000, "-" * 3000 + "x1", "(" * (MAX_NESTING + 1) + "x1" + ")" * (MAX_NESTING + 1)],
+        ids=["parentheses", "unary-minus", "one-past-the-limit"],
+    )
+    def test_deep_nesting_is_parse_error(self, tmp_path, capsys, text):
+        path = write(tmp_path, "map.json", {"field": "Q", "nvars": 1, "polys": [text]})
+        code, out, err = run(capsys, ["keller", path])
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "ParseError"
+        assert str(MAX_NESTING) in payload["message"]
+
+    def test_nesting_at_the_limit_parses(self, tmp_path, capsys):
+        text = "(" * MAX_NESTING + "x1" + ")" * MAX_NESTING
+        path = write(tmp_path, "map.json", {"field": "Q", "nvars": 1, "polys": [text]})
+        code, out, _ = run(capsys, ["keller", path])
+        assert code == 0 and json.loads(out)["det"] == "1"
+
+    @pytest.mark.parametrize(
+        "raw", [b"[" * 100_000, b"\xff\xfe{}", b'{"field": "\xc3"}'], ids=["deep-json", "bad-utf8", "bad-utf8-in-string"]
+    )
+    def test_unreadable_json_is_parse_error(self, tmp_path, capsys, raw):
+        path = tmp_path / "map.json"
+        path.write_bytes(raw)
+        code, out, err = run(capsys, ["keller", str(path)])
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "ParseError"
+
     def test_precondition_is_exit_2(self, tmp_path, capsys):
         path = write(tmp_path, "map.json", {"field": "Q", "nvars": 2, "polys": ["x1"]})
         code, _, err = run(capsys, ["keller", path])
@@ -290,3 +328,107 @@ class TestErrorPaths:
         assert payload["error"] == "TheoremViolation"
         assert payload["exit_code"] == 3
         assert site in payload["message"]
+
+
+# ---- fuzzing main() -------------------------------------------------------
+#
+# Inputs stay small (at most 3 variables, total degree at most 3, short
+# literals) so every example runs in milliseconds: the point is the exit
+# contract on odd inputs, not the cost of large ones.  Most argument lists
+# follow a subcommand's own shape, so the handlers are reached; the rest are
+# free-form.
+
+COMMANDS = [
+    "jacobian", "keller", "invert", "inverse-degree", "druzkowski", "reduce",
+    "line-check", "rank-drop", "collide", "vandermonde", "no-such-command",
+]
+TOKENS = [
+    "MAP", "--max-deg", "-r", "--budget", "--point", "--dir", "--params", "--degrees", "--points",
+    "--field", "--matrix", "--deg", "0", "1", "2", "-1", "1,0", "1/2", "x", "", "Q", "Fp:3", "--",
+]
+
+small_ints = st.sampled_from(["1", "2", "3", "2", "0", "-1", "x"])
+scalar_lists = st.lists(st.sampled_from(["0", "1", "2", "-1", "1/2", "2/0", "x", ""]), min_size=1, max_size=3)
+int_lists = st.lists(st.sampled_from(["0", "1", "2", "3", "-1", "x"]), min_size=1, max_size=3)
+field_flags = st.sampled_from(["Q", "Fp:2", "Fp:3", "Fp:5", "Fp:4", "Fp:", "R"])
+argvs = st.one_of(
+    st.sampled_from(["jacobian", "keller", "invert", "inverse-degree", "reduce"]).map(lambda c: [c, "MAP"]),
+    st.builds(lambda d: ["invert", "MAP", "--max-deg", d], small_ints),
+    st.builds(lambda d, f: ["druzkowski", "--matrix", "MAP", "--deg", d, "--field", f], small_ints, field_flags),
+    st.builds(lambda pt: ["line-check", "MAP", "--point", ",".join(pt)], scalar_lists),
+    st.builds(
+        lambda b, ts, ds: ["rank-drop", "MAP", "--dir", ",".join(b), "--params", ",".join(ts), "--degrees", ",".join(ds)],
+        scalar_lists, scalar_lists, int_lists,
+    ),
+    st.builds(lambda r, b: ["collide", "MAP", "-r", r, "--budget", b], small_ints, st.sampled_from(["0", "9", "99999"])),
+    st.builds(
+        lambda pts, ds, f: ["vandermonde", "--points", ",".join(pts), "--degrees", ",".join(ds), "--field", f],
+        scalar_lists, int_lists, field_flags,
+    ),
+    st.builds(lambda c, rest: [c, *rest], st.sampled_from(COMMANDS), st.lists(st.sampled_from(TOKENS), max_size=6)),
+)
+
+
+def poly_texts(n):
+    exponents = st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(lambda exps: sum(exps) <= 3)
+    monomial = st.builds(
+        lambda c, exps: "*".join([c] + [f"x{j + 1}^{e}" for j, e in enumerate(exps) if e]),
+        st.sampled_from(["1", "2", "-1", "1/2"]),
+        exponents,
+    )
+    sums = st.lists(monomial, min_size=1, max_size=3).map(" + ".join)
+    # one draw in four is short free text, mostly malformed (no '^')
+    return st.one_of(sums, sums, sums, st.text(alphabet="x0123+-*()/ ", max_size=8))
+
+
+def square_maps(n):
+    # "x_i + ..." keeps the linear part invertible often enough to reach inversion
+    comps = st.tuples(*[st.tuples(st.booleans(), poly_texts(n)) for _ in range(n)])
+    return st.fixed_dictionaries(
+        {
+            "field": st.sampled_from(["Q", {"Fp": 2}, {"Fp": 3}, {"Fp": 5}]),
+            "nvars": st.just(n),
+            "polys": comps.map(lambda cs: [f"x{i + 1} + {t}" if lead else t for i, (lead, t) in enumerate(cs)]),
+        }
+    )
+
+
+odd_maps = st.fixed_dictionaries(
+    {
+        "field": st.sampled_from(["Q", "R", 3, {"Fp": 4}, {"Fp": 1}, {"Fp": 0}, {"Fp": 3}]),
+        "nvars": st.integers(-1, 3),
+        "polys": st.one_of(st.lists(poly_texts(3), max_size=3), st.just("x1")),
+    }
+)
+square_map_files = st.integers(1, 3).flatmap(square_maps).map(lambda doc: json.dumps(doc).encode())
+file_contents = st.one_of(
+    square_map_files,
+    square_map_files,
+    square_map_files,
+    odd_maps.map(lambda doc: json.dumps(doc).encode()),
+    scalar_lists.map(lambda row: json.dumps([row] * len(row)).encode()),  # a matrix file
+    st.binary(max_size=24),
+)
+
+
+@settings(max_examples=60, deadline=2000)
+@given(argv=argvs, contents=file_contents)
+def test_fuzzed_main_keeps_the_exit_contract(argv, contents):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "map.json")
+        with open(path, "wb") as handle:
+            handle.write(contents)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([path if tok == "MAP" else tok for tok in argv])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if code:
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and err.endswith("\n")
+        assert json.loads(lines[0])["exit_code"] == code
+    else:
+        assert err == ""
+        assert len(out.splitlines()) == 1
+        json.loads(out)

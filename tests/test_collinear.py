@@ -403,6 +403,21 @@ class TestCollisionSearch:
                 found += len(witnesses)
         assert found
 
+    def test_translates_once_per_distinct_origin(self, monkeypatch):
+        calls = []
+        translate = PolyMap.translate
+
+        def counting(self, point):
+            calls.append(tuple(point))
+            return translate(self, point)
+
+        monkeypatch.setattr(PolyMap, "translate", counting)
+        F = pmap(F3, 2, "x1^2", "x2^2")
+        witnesses = collision_search(F, 2)
+        origins = {w.base for w in witnesses}
+        assert len(witnesses) > len(origins)  # some origin repeats
+        assert len(calls) == len(set(calls)) == len(origins)
+
     def test_matches_brute_force_oracle(self):
         # count (line, image) collision pairs directly from all point pairs
         rng = rng_for("collide-oracle")

@@ -1,0 +1,157 @@
+"""Import policy: each CLI subcommand loads only the modules it uses, the
+package loads its submodules on first attribute access, and nothing imports
+``dataclasses``.  Module loading is checked in fresh interpreters, since the
+test process itself has imported everything."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import kellerlab
+from kellerlab import (
+    AffineNormalization,
+    CollisionWitness,
+    DegreeBoundReport,
+    InverseResult,
+    KernelReduction,
+    LineData,
+    LineInjectivity,
+    RankDropResult,
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+HEAVY = ("kellerlab.inversion", "kellerlab.reduction", "kellerlab.collinear", "dataclasses")
+
+
+def fresh_python(code, *args, cwd=None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.pop("KELLERLAB_BUDGET", None)
+    out = subprocess.run(
+        [sys.executable, "-c", code, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines()[-1]
+
+
+def modules_after_main(argv, cwd):
+    """The modules loaded once ``main(argv)`` returns, and its exit code."""
+    code = (
+        "import json, sys\n"
+        "from kellerlab.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
+    )
+    exit_code, modules = json.loads(fresh_python(code, *argv, cwd=cwd))
+    return exit_code, set(modules)
+
+
+@pytest.fixture
+def mapfile(tmp_path):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"field": {"Fp": 3}, "nvars": 2, "polys": ["x1 + x2^2", "x2"]}))
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (["keller", "map.json"], HEAVY),
+        (["jacobian", "map.json"], HEAVY),
+        (["vandermonde", "--points", "1,2", "--degrees", "0,1"], HEAVY),
+        (["invert", "map.json"], ("kellerlab.collinear", "kellerlab.reduction", "dataclasses")),
+        (["collide", "map.json", "-r", "2"], ("kellerlab.inversion", "kellerlab.reduction", "dataclasses")),
+        (["line-check", "map.json", "--point", "1,0"], ("kellerlab.inversion", "kellerlab.reduction")),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_subcommand_loads_only_its_modules(mapfile, argv, absent):
+    code, loaded = modules_after_main(argv, mapfile.parent)
+    assert code == 0
+    assert not loaded & set(absent)
+    assert "kellerlab.polymap" in loaded
+
+
+def test_reduce_loads_reduction_but_not_collinear(mapfile):
+    code, loaded = modules_after_main(["reduce", "map.json"], mapfile.parent)
+    assert code == 0
+    assert {"kellerlab.inversion", "kellerlab.reduction"} <= loaded
+    assert not loaded & {"kellerlab.collinear", "dataclasses"}
+
+
+def test_bare_package_import_loads_no_submodule():
+    code = "import json, sys, kellerlab\nprint(json.dumps(sorted(sys.modules)))\n"
+    loaded = set(json.loads(fresh_python(code)))
+    assert not {m for m in loaded if m.startswith("kellerlab.")}
+
+
+def test_star_import_binds_every_public_name():
+    code = (
+        "import json, kellerlab\n"
+        "from kellerlab import *\n"
+        "print(json.dumps([n for n in kellerlab.__all__ if n not in globals()]))\n"
+    )
+    assert json.loads(fresh_python(code)) == []
+
+
+def test_every_public_name_resolves_and_is_listed_by_dir():
+    assert len(kellerlab.__all__) == len(set(kellerlab.__all__))
+    for name in kellerlab.__all__:
+        assert getattr(kellerlab, name) is not None, name
+    assert set(kellerlab.__all__) <= set(dir(kellerlab))
+    assert kellerlab.inversion.formal_inverse is kellerlab.formal_inverse
+    with pytest.raises(AttributeError):
+        kellerlab.no_such_name
+
+
+def test_handler_names_stay_readable_on_the_cli_module():
+    from kellerlab import cli, collinear, inversion, reduction
+
+    assert cli.invert_polymap is inversion.invert_polymap
+    assert cli.kernel_conjugate is reduction.kernel_conjugate
+    assert cli.collision_search is collinear.collision_search
+    with pytest.raises(AttributeError):
+        cli.no_such_name
+
+
+def test_no_module_imports_dataclasses():
+    code = (
+        "import json, sys\n"
+        "import kellerlab.cli\n"
+        "from kellerlab import *\n"
+        "print(json.dumps('dataclasses' in sys.modules))\n"
+    )
+    assert json.loads(fresh_python(code)) is False
+
+
+RESULTS = [
+    LineData(b=(1,), base=0, degrees=(0, 1), C=None),
+    CollisionWitness(
+        b=(1,), base=(0,), params=(0, 1), degrees=(0, 1, 2), vandermonde_rank=2,
+        rank_drop_param=None, det_jac_nonconstant=True,
+    ),
+    RankDropResult(value=None, derivative=None),
+    LineInjectivity(injective=True, counterexample=None, certified=True),
+    InverseResult(verdict="PolynomialInverse", inverse=None, inverse_degree=2, bound_used=2),
+    AffineNormalization(linear=None, constant=(0,), core=None),
+    KernelReduction(T=None, Tinv=None, r=1, conjugated=None),
+    DegreeBoundReport(
+        n=2, d=2, r=1, bound=2, gabber_bound=2, actual_inverse_degree=2,
+        satisfied=True, escalated=False, char_p_note=None,
+    ),
+]
+
+
+@pytest.mark.parametrize("result", RESULTS, ids=lambda r: type(r).__name__)
+def test_result_objects_are_immutable_tuples(result):
+    field = result._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(result, field, 0)
+    with pytest.raises(AttributeError):
+        result.extra = 0
+    assert result == tuple(result)
+    assert getattr(result, field) == result[0]

@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 from math import comb
 
@@ -162,6 +163,21 @@ class TestSubstitute:
                     QQ, 2, {e: c for e, c in full.terms.items() if sum(e) <= bound}
                 )
                 assert truncated == expected
+
+    def test_leaves_no_reference_cycle(self):
+        # the power cache must be freed by reference counting alone
+        p = P("x1^5*x2^3 + x1^2 + x2^7", 2, F5)
+        images = [P("x1 + x2^2", 2, F5), P("2*x2 + x1*x2", 2, F5)]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            p.substitute(images)
+            p.substitute(images, max_degree=4)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestPackedKernel:
