@@ -126,30 +126,56 @@ def line_restriction(polymap: PolyMap, b: Sequence, base, degrees=None) -> LineD
     return LineData(b=tuple(direction), base=base, degrees=degrees, C=matrix)
 
 
+def _check_hypotheses(field, values: list, degrees: tuple, images, support=None) -> None:
+    """Raise PreconditionFailed unless the collinear hypotheses hold.
+
+    Checked in this order: the degree list has length r + 1 for r =
+    len(values) and is strictly increasing; when the map's degree
+    ``support`` is given, the list contains 0 and covers it; the ``images``
+    (an iterable, read only once the degree list has passed) are all equal;
+    and the generalized Vandermonde matrix of the values against the first
+    r degrees has rank r, which also makes the values pairwise distinct.
+    """
+    r = len(values)
+    if len(degrees) != r + 1:
+        raise PreconditionFailed(
+            f"degree list has length {len(degrees)}, expected r + 1 = {r + 1}"
+        )
+    if any(d2 <= d1 for d1, d2 in zip(degrees, degrees[1:])):
+        raise PreconditionFailed("the degree list must be strictly increasing")
+    if support is not None:
+        if 0 not in degrees:
+            raise PreconditionFailed("the degree list must contain 0")
+        if not set(support) <= set(degrees):
+            raise PreconditionFailed(
+                f"map has term degrees {sorted(support)} outside the list {degrees}"
+            )
+    if len(set(images)) != 1:
+        raise PreconditionFailed("the map takes different values at the given points")
+    if generalized_vandermonde(field, values, degrees[:r]).rank() != r:
+        raise PreconditionFailed("the generalized Vandermonde matrix does not have full rank")
+
+
 def verify_coefficient_rank(line: LineData, params: Sequence) -> bool:
     """Check: rk C <= 1 and, when C is nonzero, its last column is nonzero.
 
-    Hypotheses (each checked, with a named failure): the degree list has
-    length r + 1, G vanishes at every parameter, and the generalized
-    Vandermonde matrix of the parameters against the first r degrees has
-    full rank r.  Under those hypotheses the conclusion is a theorem; a
-    failing conclusion therefore raises TheoremViolation instead of
-    returning False.
+    Hypotheses (each checked, with a named failure): the degree list is
+    strictly increasing of length r + 1, G vanishes at every parameter, and
+    the generalized Vandermonde matrix of the parameters against the first r
+    degrees has full rank r.  Under those hypotheses the conclusion is a
+    theorem; a failing conclusion therefore raises TheoremViolation instead
+    of returning False.
     """
     field = line.C.field
     values = [field.coerce(a) for a in params]
-    r = len(values)
-    if len(line.degrees) != r + 1:
-        raise PreconditionFailed(
-            f"degree list has length {len(line.degrees)}, expected r + 1 = {r + 1}"
-        )
-    for a in values:
-        image = [line.component(i).evaluate(a) for i in range(line.C.nrows)]
-        if any(image):
-            raise PreconditionFailed(f"G({field.render(a)}) is not the zero vector")
-    vandermonde = generalized_vandermonde(field, values, line.degrees[:r])
-    if vandermonde.rank() != r:
-        raise PreconditionFailed("the generalized Vandermonde matrix does not have full rank")
+    rows = range(line.C.nrows)
+    # G vanishes at every parameter iff its images there all equal the zero
+    # vector; G is built only once the degree list has passed
+    images = itertools.chain(
+        [(field.zero,) * len(rows)],
+        (tuple(line.component(i).evaluate(a) for i in rows) for a in values),
+    )
+    _check_hypotheses(field, values, tuple(line.degrees), images)
     if line.C.rank() > 1:
         raise TheoremViolation("coefficient matrix has rank above 1")
     if not line.C.is_zero() and not any(line.C.column(len(line.degrees) - 1)):
@@ -177,27 +203,9 @@ def find_rank_drop(polymap: PolyMap, b: Sequence, params: Sequence, degrees: Seq
     if all(not x for x in direction):
         raise ZeroDirection("the line direction must be nonzero")
     values = [field.coerce(a) for a in params]
-    r = len(values)
     degrees = tuple(degrees)
-    if len(degrees) != r + 1:
-        raise PreconditionFailed(
-            f"degree list has length {len(degrees)}, expected r + 1 = {r + 1}"
-        )
-    if any(d2 <= d1 for d1, d2 in zip(degrees, degrees[1:])):
-        raise PreconditionFailed("the degree list must be strictly increasing")
-    if 0 not in degrees:
-        raise PreconditionFailed("the degree list must contain 0")
-    support = set(polymap.degree_support())
-    if not support <= set(degrees):
-        raise PreconditionFailed(
-            f"map has term degrees {sorted(support)} outside the list {degrees}"
-        )
-    images = {polymap.evaluate([a * x for x in direction]) for a in values}
-    if len(images) != 1:
-        raise PreconditionFailed("the map takes different values at the given points")
-    vandermonde = generalized_vandermonde(field, values, degrees[:r])
-    if vandermonde.rank() != r:
-        raise PreconditionFailed("the generalized Vandermonde matrix does not have full rank")
+    images = (polymap.evaluate([a * x for x in direction]) for a in values)
+    _check_hypotheses(field, values, degrees, images, polymap.degree_support())
 
     line = line_restriction(polymap, direction, values[0], degrees)
     derivatives = [line.component(i).derivative() for i in range(line.C.nrows)]
@@ -229,25 +237,27 @@ def _smallest_root(field, poly: UniPoly):
 def verify_collision_obstruction(polymap: PolyMap, witness: CollisionWitness) -> bool:
     """Check that det jac F is not a nonzero constant, given a valid witness.
 
-    Hypotheses (checked): the witness parameters are distinct and take equal
-    values along the line of the translated map, the term degrees of the
-    translated map lie in the witness degree list (which contains 0 and whose
-    last entry is neither 1 nor divisible by the characteristic), and the
-    generalized Vandermonde matrix has full rank.  Under these the conclusion
-    is a theorem, so a constant nonzero determinant raises TheoremViolation.
+    Hypotheses (checked, in this order): the map is square, the direction is
+    nonzero, the witness degree list is strictly increasing of length r + 1,
+    contains 0 and covers the term degrees of the map translated to the
+    witness base, the translated map takes equal values at the params[i] * b,
+    the generalized Vandermonde matrix of the parameters against the first r
+    degrees has full rank (so the parameters are distinct), and the top
+    degree is neither 1 nor divisible by the characteristic.  Under these
+    the conclusion is a theorem, so a constant nonzero determinant raises
+    TheoremViolation.
     """
     field = polymap.field
     if polymap.m != polymap.n:
         raise NonSquare(f"{polymap.m}x{polymap.n} map")
     values = [field.coerce(a) for a in witness.params]
-    r = len(values)
-    if len(set(values)) != r:
-        raise PreconditionFailed("witness parameters are not pairwise distinct")
     degrees = tuple(witness.degrees)
-    if len(degrees) != r + 1:
-        raise PreconditionFailed(
-            f"degree list has length {len(degrees)}, expected r + 1 = {r + 1}"
-        )
+    direction = [field.coerce(x) for x in witness.b]
+    if all(not x for x in direction):
+        raise ZeroDirection("the line direction must be nonzero")
+    translated = polymap.translate([field.coerce(c) for c in witness.base])
+    images = (translated.evaluate([a * x for x in direction]) for a in values)
+    _check_hypotheses(field, values, degrees, images, translated.degree_support())
     last = degrees[-1]
     if last == 1:
         raise PreconditionFailed("the top degree must differ from 1")
@@ -255,23 +265,6 @@ def verify_collision_obstruction(polymap: PolyMap, witness: CollisionWitness) ->
         raise PreconditionFailed(
             f"the characteristic {field.characteristic} divides the top degree {last}"
         )
-    direction = [field.coerce(x) for x in witness.b]
-    if all(not x for x in direction):
-        raise ZeroDirection("the line direction must be nonzero")
-    translated = polymap.translate([field.coerce(c) for c in witness.base])
-    support = set(translated.degree_support())
-    if 0 not in degrees:
-        raise PreconditionFailed("the degree list must contain 0")
-    if not support <= set(degrees):
-        raise PreconditionFailed(
-            f"map has term degrees {sorted(support)} outside the list {degrees}"
-        )
-    images = {translated.evaluate([a * x for x in direction]) for a in values}
-    if len(images) != 1:
-        raise PreconditionFailed("the map takes different values at the witness points")
-    vandermonde = generalized_vandermonde(field, values, degrees[:r])
-    if vandermonde.rank() != r:
-        raise PreconditionFailed("the generalized Vandermonde matrix does not have full rank")
     if polymap.is_keller():
         raise TheoremViolation(
             "valid collision witness against a map with unit Jacobian determinant"

@@ -21,7 +21,7 @@ from .errors import (
 )
 from .field_linalg import Matrix
 from .mpoly import MPoly
-from .polymap import PolyMap, power_linear
+from .polymap import PolyMap, apply_matrix, power_linear
 
 VERDICT_POLYNOMIAL = "PolynomialInverse"
 VERDICT_NOT_UP_TO_BOUND = "NotPolynomialUpToBound"
@@ -87,21 +87,8 @@ def normalize_affine(polymap: PolyMap) -> AffineNormalization:
         raise SingularLinearPart("Jacobian at the origin is singular")
     lin_inv = linear.inverse()
     shifted = [c - v for c, v in zip(polymap.components, constant)]
-    core_comps = []
-    for i in range(n):
-        acc = MPoly.zero(field, n)
-        for j in range(n):
-            if lin_inv.rows[i][j]:
-                acc = acc + shifted[j] * lin_inv.rows[i][j]
-        core_comps.append(acc)
-    core = PolyMap(field, n, core_comps)
-    rebuilt = []
-    for i in range(n):
-        acc = MPoly.constant(field, n, constant[i])
-        for j in range(n):
-            if linear.rows[i][j]:
-                acc = acc + core_comps[j] * linear.rows[i][j]
-        rebuilt.append(acc)
+    core = PolyMap(field, n, apply_matrix(lin_inv, shifted, n))
+    rebuilt = [q + v for q, v in zip(apply_matrix(linear, core.components, n), constant)]
     if tuple(rebuilt) != polymap.components:
         raise TheoremViolation("affine normalization failed to reconstruct the map")
     return AffineNormalization(linear=linear, constant=constant, core=core)
@@ -167,14 +154,7 @@ def invert_polymap(polymap: PolyMap, max_deg: Optional[int] = None) -> InverseRe
     lin_inv = norm.linear.inverse()
     xs = MPoly.variables(field, n)
     shifted = [x - c for x, c in zip(xs, norm.constant)]
-    affine_inv_comps = []
-    for i in range(n):
-        acc = MPoly.zero(field, n)
-        for j in range(n):
-            if lin_inv.rows[i][j]:
-                acc = acc + shifted[j] * lin_inv.rows[i][j]
-        affine_inv_comps.append(acc)
-    affine_inv = PolyMap(field, n, affine_inv_comps)
+    affine_inv = PolyMap(field, n, apply_matrix(lin_inv, shifted, n))
     full = result.inverse.compose(affine_inv)
     if result.is_polynomial:
         if not verify_inverse(polymap, full):

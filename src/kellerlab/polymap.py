@@ -36,15 +36,8 @@ class PolyMap:
     @classmethod
     def linear(cls, matrix: Matrix) -> "PolyMap":
         """The linear map ``x -> Ax`` (rows become components)."""
-        xs = MPoly.variables(matrix.field, matrix.ncols)
-        comps = []
-        for row in matrix.rows:
-            acc = MPoly.zero(matrix.field, matrix.ncols)
-            for a, x in zip(row, xs):
-                if a:
-                    acc = acc + x * a
-            comps.append(acc)
-        return cls(matrix.field, matrix.ncols, comps)
+        n = matrix.ncols
+        return cls(matrix.field, n, apply_matrix(matrix, MPoly.variables(matrix.field, n), n))
 
     @property
     def m(self) -> int:
@@ -208,19 +201,6 @@ class PolyMatrix:
             out.append(row)
         return PolyMatrix(self.field, self.nvars, out)
 
-    def matvec(self, vec: Sequence) -> tuple:
-        """Apply to a vector of field scalars, yielding polynomials."""
-        vals = [self.field.coerce(x) for x in vec]
-        if len(vals) != self.ncols:
-            raise ArityMismatch("vector length does not match column count")
-        out = []
-        for row in self.grid:
-            acc = MPoly.zero(self.field, self.nvars)
-            for e, v in zip(row, vals):
-                acc = acc + e * v
-            out.append(acc)
-        return tuple(out)
-
     def det(self) -> MPoly:
         """Exact determinant over the polynomial ring.
 
@@ -272,6 +252,27 @@ class PolyMatrix:
             prev = a[k][k]
         result = a[n - 1][n - 1]
         return result if sign > 0 else -result
+
+
+def apply_matrix(matrix: Matrix, polys: Sequence[MPoly], nvars: int) -> list:
+    """The polynomials ``sum_j A[i][j] * polys[j]``, one per row of A.
+
+    Every polynomial is in ``nvars`` variables, which is given explicitly so
+    that a matrix without rows or columns still has a ring.  Each row sums
+    the term maps of its nonzero entries in one pass.
+    """
+    if len(polys) != matrix.ncols:
+        raise ArityMismatch(f"{len(polys)} polynomials for a matrix with {matrix.ncols} columns")
+    out = []
+    for row in matrix.rows:
+        acc = {}
+        for a, poly in zip(row, polys):
+            if a:
+                for e, c in poly.terms.items():
+                    prev = acc.get(e)
+                    acc[e] = a * c if prev is None else prev + a * c
+        out.append(MPoly(matrix.field, nvars, acc))
+    return out
 
 
 def hadamard_power(matrix: Matrix, d: int) -> PolyMap:

@@ -15,7 +15,7 @@ from .errors import (
 )
 from .field_linalg import Matrix, complete_to_basis
 from .mpoly import MPoly, _grlex
-from .polymap import PolyMap
+from .polymap import PolyMap, apply_matrix
 from .inversion import _require_normalized, formal_inverse
 
 CHAR_P_NOTE = "char-p: bound not asserted for positive characteristic"
@@ -86,11 +86,8 @@ def kernel_conjugate(polymap: PolyMap) -> KernelReduction:
     kernel = constant_kernel(polymap - PolyMap.identity(field, n))
     transform = complete_to_basis(kernel)
     transform_inv = transform.inverse()
-    conjugated = (
-        PolyMap.linear(transform_inv)
-        .compose(polymap)
-        .compose(PolyMap.linear(transform))
-    )
+    inner = polymap.compose(PolyMap.linear(transform))
+    conjugated = PolyMap(field, n, apply_matrix(transform_inv, inner.components, n))
     r = n - kernel.ncols
     jac = (conjugated - PolyMap.identity(field, n)).jacobian()
     for j in range(r, n):
@@ -117,14 +114,7 @@ def pair_reduction(polymap: PolyMap, reduction: KernelReduction) -> PolyMap:
     c_cols = Matrix.from_columns(field, reduction.T.columns()[:r], nrows=n)
     into_line = PolyMap.linear(c_cols)  # K^r -> K^n
     image = polymap.compose(into_line)
-    comps = []
-    for i in range(r):
-        acc = MPoly.zero(field, r)
-        for j in range(n):
-            if b_rows.rows[i][j]:
-                acc = acc + image.components[j] * b_rows.rows[i][j]
-        comps.append(acc)
-    paired = PolyMap(field, r, comps)
+    paired = PolyMap(field, r, apply_matrix(b_rows, image.components, r))
     # the paired map must equal the leading conjugated components at
     # x_{r+1} = ... = x_n = 0
     zeros = [MPoly.zero(field, r)] * (n - r)

@@ -159,6 +159,62 @@ class TestRankDropCommand:
         assert code == 2
         assert json.loads(err)["error"] == "PreconditionFailed"
 
+    # one input per hypothesis, in the order they are checked
+    SQUARE_F5 = {"field": {"Fp": 5}, "nvars": 2, "polys": ["x1^2", "x2"]}
+
+    @pytest.mark.parametrize(
+        "payload, flags, line",
+        [
+            (
+                SQUARE_F5,
+                ["--dir", "0,0", "--params", "1,4", "--degrees", "0,1,2"],
+                '{"error": "ZeroDirection", "exit_code": 2, "message": '
+                '"the line direction must be nonzero"}',
+            ),
+            (
+                SQUARE_F5,
+                ["--dir", "1,0", "--params", "1,4", "--degrees", "0,1"],
+                '{"error": "PreconditionFailed", "exit_code": 2, "message": '
+                '"degree list has length 2, expected r + 1 = 3"}',
+            ),
+            (
+                SQUARE_F5,
+                ["--dir", "1,0", "--params", "1,4", "--degrees", "0,2,1"],
+                '{"error": "PreconditionFailed", "exit_code": 2, "message": '
+                '"the degree list must be strictly increasing"}',
+            ),
+            (
+                SQUARE_F5,
+                ["--dir", "1,0", "--params", "1,4", "--degrees", "1,2,3"],
+                '{"error": "PreconditionFailed", "exit_code": 2, "message": '
+                '"the degree list must contain 0"}',
+            ),
+            (
+                {"field": "Q", "nvars": 1, "polys": ["x1^4 - x1"]},
+                ["--dir", "1", "--params", "0,1", "--degrees", "0,1,3"],
+                '{"error": "PreconditionFailed", "exit_code": 2, "message": '
+                '"map has term degrees [1, 4] outside the list (0, 1, 3)"}',
+            ),
+            (
+                {"field": "Q", "nvars": 1, "polys": ["x1^2"]},
+                ["--dir", "1", "--params", "0,1"],
+                '{"error": "PreconditionFailed", "exit_code": 2, "message": '
+                '"the map takes different values at the given points"}',
+            ),
+            (
+                {"field": {"Fp": 3}, "nvars": 1, "polys": ["x1 - x1^3"]},
+                ["--dir", "1", "--params", "0,1,2", "--degrees", "0,1,3,4"],
+                '{"error": "PreconditionFailed", "exit_code": 2, "message": '
+                '"the generalized Vandermonde matrix does not have full rank"}',
+            ),
+        ],
+        ids=["zero-direction", "length", "increasing", "contains-0", "support", "values", "vandermonde"],
+    )
+    def test_failed_hypothesis_error_line(self, tmp_path, capsys, payload, flags, line):
+        path = write(tmp_path, "map.json", payload)
+        code, out, err = run(capsys, ["rank-drop", path, *flags])
+        assert (code, out, err) == (2, "", line + "\n")
+
 
 class TestCollideCommand:
     def test_zero_map_witness(self, tmp_path, capsys):

@@ -100,6 +100,12 @@ class TestGenlmCheck:
         with pytest.raises(PreconditionFailed):
             verify_coefficient_rank(line, [2])
 
+    def test_unsorted_degree_list_rejected(self):
+        # G(t) = t^2 - 1 with its degree list given top degree first
+        line = LineData(b=(QQ.one,), base=Fraction(1), degrees=(2, 0), C=Matrix(QQ, [[1, -1]], ncols=2))
+        with pytest.raises(PreconditionFailed, match="strictly increasing"):
+            verify_coefficient_rank(line, [1])
+
     def test_wrong_degree_count_rejected(self):
         F = pmap(QQ, 1, "x1^2 - 1")
         line = line_restriction(F, [1], 1, degrees=[0, 1, 2])
@@ -249,6 +255,29 @@ class TestVerifyGencr:
         )
         with pytest.raises(PreconditionFailed):
             verify_collision_obstruction(F, witness)
+
+    def square_witness(self, params, degrees):
+        return CollisionWitness(
+            b=(Fp(1, 5), Fp(0, 5)),
+            base=(Fp(0, 5), Fp(0, 5)),
+            params=tuple(Fp(a, 5) for a in params),
+            degrees=degrees,
+            vandermonde_rank=2,
+            rank_drop_param=None,
+            det_jac_nonconstant=True,
+        )
+
+    @pytest.mark.parametrize("degrees", [(1, 0, 2), (2, 1, 0)])
+    def test_unsorted_degree_list_rejected(self, degrees):
+        # the top degree is read as the last entry, so the list must be sorted
+        F = pmap(F5, 2, "x1^2", "x2")
+        with pytest.raises(PreconditionFailed, match="strictly increasing"):
+            verify_collision_obstruction(F, self.square_witness((1, 4), degrees))
+
+    def test_repeated_parameters_fail_the_rank_hypothesis(self):
+        F = pmap(F5, 2, "x1^2", "x2")
+        with pytest.raises(PreconditionFailed, match="Vandermonde"):
+            verify_collision_obstruction(F, self.square_witness((1, 1), (0, 1, 2)))
 
 
 class TestLineInjectivity:

@@ -15,6 +15,7 @@ from kellerlab import (
     power_linear,
 )
 from kellerlab.errors import ArityMismatch, NonSquare, NotHomogeneous
+from kellerlab.polymap import apply_matrix
 
 from conftest import P, pmap, random_mpoly, rng_for
 
@@ -295,3 +296,33 @@ class TestTranslate:
         F = pmap(QQ, 2, "x1^2", "x1 + x2")
         T = F.translate([1, 2])
         assert T == pmap(QQ, 2, "(x1+1)^2", "x1 + x2 + 3")
+
+
+class TestApplyMatrix:
+    @staticmethod
+    def random_matrix(rng, field, nrows, ncols):
+        def entry():
+            if rng.random() < 0.3:
+                return field.zero
+            return field.coerce(rng.randint(-3, 3)) / field.coerce(rng.randint(1, 3))
+
+        return Matrix(field, [[entry() for _ in range(ncols)] for _ in range(nrows)], ncols=ncols)
+
+    @pytest.mark.parametrize("field", [QQ, F5], ids=repr)
+    def test_matches_composition_with_the_linear_map(self, field):
+        # independent path: substitute the polynomials into x -> Ax
+        rng = rng_for(f"apply-matrix-{field}")
+        shapes = [(0, 2), (2, 0), (0, 0)] + [(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(25)]
+        for nrows, ncols in shapes:
+            n = rng.randint(1, 3)
+            A = self.random_matrix(rng, field, nrows, ncols)
+            if nrows:  # always one zero row
+                A = Matrix(field, [[field.zero] * ncols, *A.rows[1:]], ncols=ncols)
+            polys = [random_mpoly(rng, field, n) for _ in range(ncols)]
+            expected = PolyMap.linear(A).compose(PolyMap(field, n, polys)).components
+            assert apply_matrix(A, polys, n) == list(expected)
+
+    def test_polynomial_count_must_match_the_columns(self):
+        A = Matrix(QQ, [[1, 2]], ncols=2)
+        with pytest.raises(ArityMismatch):
+            apply_matrix(A, [P("x1", 1, QQ)], 1)

@@ -1,13 +1,15 @@
 """Differential tests against sympy (an independent implementation): MPoly
-products, powers and composition against ``Poly`` over Q and over F_p, and
-``is_prime`` against ``isprime``."""
+products, powers and composition against ``Poly`` over Q and over F_p,
+Jacobian determinants against ``Matrix.jacobian().det()``, kernel bases
+against ``nullspace``, rational roots against ``roots``, and ``is_prime``
+against ``isprime``."""
 
 import time
 from fractions import Fraction
 
 import pytest
 
-from kellerlab import MPoly, PrimeField, QQ, is_prime
+from kellerlab import Matrix, MPoly, PolyMap, PrimeField, QQ, UniPoly, is_prime, rational_roots
 
 from conftest import random_mpoly, rng_for
 
@@ -22,21 +24,29 @@ def domain(field):
     return {"modulus": field.p} if field.characteristic else {"domain": "QQ"}
 
 
-def to_sympy(poly):
+def to_rational(c):
+    return sympy.Rational(c.numerator, c.denominator)
+
+
+def to_sympy(poly, gens=GENS):
     if poly.field.characteristic:
         terms = {e: c.v for e, c in poly.terms.items()}
     else:
-        terms = {e: sympy.Rational(c.numerator, c.denominator) for e, c in poly.terms.items()}
-    return sympy.Poly.from_dict(terms, *GENS, **domain(poly.field))
+        terms = {e: to_rational(c) for e, c in poly.terms.items()}
+    return sympy.Poly.from_dict(terms, *gens, **domain(poly.field))
 
 
 def from_sympy(spoly, field, max_degree=None):
     terms = {}
     for exps, c in spoly.as_dict().items():
         if max_degree is None or sum(exps) <= max_degree:
-            c = sympy.Rational(c)
-            terms[exps] = Fraction(int(c.p), int(c.q))
-    return MPoly(field, NVARS, terms)
+            terms[exps] = to_fraction(c)
+    return MPoly(field, len(spoly.gens), terms)
+
+
+def to_fraction(c):
+    c = sympy.Rational(c)
+    return Fraction(int(c.p), int(c.q))
 
 
 def compose(spoly, images, field):
@@ -45,11 +55,11 @@ def compose(spoly, images, field):
     return sympy.Poly(expr, *GENS, **domain(field))
 
 
-def random_rational_poly(rng, field, **kw):
-    poly = random_mpoly(rng, field, NVARS, **kw)
+def random_rational_poly(rng, field, nvars=NVARS, **kw):
+    poly = random_mpoly(rng, field, nvars, **kw)
     if field.characteristic:
         return poly
-    return MPoly(field, NVARS, {e: c / rng.randint(1, 6) for e, c in poly.terms.items()})
+    return MPoly(field, nvars, {e: c / rng.randint(1, 6) for e, c in poly.terms.items()})
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -107,3 +117,57 @@ def test_is_prime_near_10_to_18_is_fast():
     start = time.perf_counter()
     assert is_prime(n)
     assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_det_jacobian(field, n):
+    # n = 5 takes the Bareiss path, smaller n the cofactor expansion; maps
+    # x_s(i) + h_i for a random permutation s have a nonzero determinant in
+    # general, and a first component free of x1 puts a zero at the first
+    # pivot, so Bareiss must swap rows
+    rng = rng_for(f"sympy-det-{field}-{n}")
+    gens = sympy.symbols(f"x1:{n + 1}")
+    xs = MPoly.variables(field, n)
+    for _ in range(4):
+        perm = rng.sample(range(n), n)
+        polys = [xs[j] + random_rational_poly(rng, field, n, max_deg=2, max_terms=3) for j in perm]
+        if n > 1:
+            polys[0] = MPoly(field, n, {e: c for e, c in polys[0].terms.items() if not e[0]})
+        exprs = [to_sympy(p, gens).as_expr() for p in polys]
+        det = sympy.expand(sympy.Matrix(exprs).jacobian(gens).det())
+        expected = from_sympy(sympy.Poly(det, *gens, **domain(field)), field)
+        assert PolyMap(field, n, polys).det_jacobian() == expected
+
+
+def test_kernel_basis_spans_the_nullspace():
+    rng = rng_for("sympy-kernel")
+    for _ in range(30):
+        nrows, ncols, rank = rng.randint(1, 4), rng.randint(1, 5), rng.randint(0, 3)
+        # a product of an nrows x rank and a rank x ncols factor, so the
+        # rank is often deficient
+        left = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rank)] for _ in range(nrows)]
+        right = [[Fraction(rng.randint(-3, 3)) for _ in range(ncols)] for _ in range(rank)]
+        rows = [[sum((row[k] * right[k][j] for k in range(rank)), Fraction(0)) for j in range(ncols)] for row in left]
+        ours = Matrix(QQ, rows, ncols=ncols).kernel_basis()
+        theirs = sympy.Matrix(nrows, ncols, [to_rational(x) for row in rows for x in row]).nullspace()
+        assert ours.ncols == len(theirs)
+        if theirs:
+            columns = [sympy.Matrix([to_rational(x) for x in ours.column(j)]) for j in range(ours.ncols)]
+            assert sympy.Matrix.hstack(*columns, *theirs).rank() == len(theirs)
+
+
+def test_rational_roots_match_sympy():
+    # products of small linear factors q*t - p and a random cofactor; the
+    # coefficients stay small because the root search enumerates divisors
+    rng = rng_for("sympy-roots")
+    t = sympy.Symbol("t")
+    for _ in range(40):
+        expr = sympy.Integer(rng.randint(1, 3))
+        for _ in range(rng.randint(0, 3)):
+            expr *= rng.randint(1, 3) * t - rng.randint(-4, 4)
+        expr *= sum(rng.randint(-3, 3) * t**k for k in range(rng.randint(1, 3))) or 1
+        spoly = sympy.Poly(expr, t, domain="QQ")
+        coeffs = [to_fraction(c) for c in reversed(spoly.all_coeffs())]
+        theirs = sorted(to_fraction(r) for r in sympy.roots(spoly) if r.is_rational)
+        assert sorted(rational_roots(UniPoly(QQ, coeffs))) == theirs
