@@ -131,10 +131,11 @@ def _check_hypotheses(field, values: list, degrees: tuple, images, support=None)
 
     Checked in this order: the degree list has length r + 1 for r =
     len(values) and is strictly increasing; when the map's degree
-    ``support`` is given, the list contains 0 and covers it; the ``images``
-    (an iterable, read only once the degree list has passed) are all equal;
-    and the generalized Vandermonde matrix of the values against the first
-    r degrees has rank r, which also makes the values pairwise distinct.
+    ``support`` is given, the list contains 0 and covers it; no two of the
+    ``images`` differ (an iterable, read only once the degree list has
+    passed; an empty one passes); and the generalized Vandermonde matrix of
+    the values against the first r degrees has rank r, which also makes the
+    values pairwise distinct.
     """
     r = len(values)
     if len(degrees) != r + 1:
@@ -150,7 +151,7 @@ def _check_hypotheses(field, values: list, degrees: tuple, images, support=None)
             raise PreconditionFailed(
                 f"map has term degrees {sorted(support)} outside the list {degrees}"
             )
-    if len(set(images)) != 1:
+    if len(set(images)) > 1:
         raise PreconditionFailed("the map takes different values at the given points")
     if generalized_vandermonde(field, values, degrees[:r]).rank() != r:
         raise PreconditionFailed("the generalized Vandermonde matrix does not have full rank")
@@ -188,8 +189,9 @@ def find_rank_drop(polymap: PolyMap, b: Sequence, params: Sequence, degrees: Seq
 
     Hypotheses (checked): the map takes equal values at all params[i] * b,
     its term degrees lie in the given strictly increasing list of length
-    r + 1 containing 0, and the parameters' generalized Vandermonde matrix
-    against the first r degrees has rank r.
+    r + 1 containing 0, and the parameters, of which there is at least one,
+    have a generalized Vandermonde matrix of rank r against the first r
+    degrees.
 
     The root search follows the derivative of the first nonvanishing
     component of the line restriction: exhaustively over F_p (smallest root
@@ -203,6 +205,8 @@ def find_rank_drop(polymap: PolyMap, b: Sequence, params: Sequence, degrees: Seq
     if all(not x for x in direction):
         raise ZeroDirection("the line direction must be nonzero")
     values = [field.coerce(a) for a in params]
+    if not values:
+        raise PreconditionFailed("the parameter list must not be empty")
     degrees = tuple(degrees)
     images = (polymap.evaluate([a * x for x in direction]) for a in values)
     _check_hypotheses(field, values, degrees, images, polymap.degree_support())
@@ -427,7 +431,8 @@ def collision_search(polymap: PolyMap, r: int, budget: Optional[int] = None) -> 
     if required > budget:
         raise BudgetExceeded(budget, required)
     points = list(itertools.product(range(p), repeat=n))
-    table = {pt: polymap.evaluate(pt) for pt in points}
+    # images as residue tuples, so grouping a line's points hashes ints
+    table = {pt: tuple(v.v for v in polymap.evaluate(pt)) for pt in points}
     # (direction, pivot): the first nonzero coordinate of the direction is 1
     directions = [(b, b.index(1)) for b in points if next(filter(None, b), 0) == 1]
     det_nonconstant = not polymap.is_keller()
@@ -435,6 +440,7 @@ def collision_search(polymap: PolyMap, r: int, budget: Optional[int] = None) -> 
     degrees = tuple(range(r + 1))
     witnesses = []
     translations = {}  # origin -> the map translated there, built once per call
+    ranks = {}  # offsets -> rank of their Vandermonde matrix, ranked once per call
     for base in points:
         for b, pivot in directions:
             if base[pivot]:
@@ -448,8 +454,12 @@ def collision_search(polymap: PolyMap, r: int, budget: Optional[int] = None) -> 
                     continue
                 sel = ts[:r]
                 origin = line_pts[sel[0]]
-                params = tuple(field.coerce(t - sel[0]) for t in sel)
-                vandermonde = generalized_vandermonde(field, params, degrees[:r])
+                offsets = tuple(t - sel[0] for t in sel)
+                params = tuple(field.coerce(t) for t in offsets)
+                rank = ranks.get(offsets)
+                if rank is None:
+                    rank = generalized_vandermonde(field, params, degrees[:r]).rank()
+                    ranks[offsets] = rank
                 translated = translations.get(origin)
                 if translated is None:
                     translated = polymap.translate([field.coerce(c) for c in origin])
@@ -464,7 +474,7 @@ def collision_search(polymap: PolyMap, r: int, budget: Optional[int] = None) -> 
                     base=tuple(field.coerce(c) for c in origin),
                     params=params,
                     degrees=degrees,
-                    vandermonde_rank=vandermonde.rank(),
+                    vandermonde_rank=rank,
                     rank_drop_param=drop_value,
                     det_jac_nonconstant=det_nonconstant,
                 )

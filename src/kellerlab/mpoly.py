@@ -38,6 +38,11 @@ call converts its operands once and converts the result back once:
   reduction, as in FLINT's ``nmod`` arithmetic).  Over Q each operand is a
   list of integer numerators over one shared denominator, and each result
   is brought to lowest terms by a single gcd.
+
+Evaluation over F_p works on int residues too: :meth:`MPoly.evaluate` and
+:meth:`MPoly.restrict_to_line` sum unreduced term values and reduce each sum
+once, and :meth:`UniPoly.evaluate` runs Horner's rule on ints, so each value
+is wrapped in a single ``Fp``.
 """
 
 from __future__ import annotations
@@ -153,6 +158,19 @@ def _reduce(acc: dict, den: int, p: int) -> tuple:
                 out = {k: v // g for k, v in out.items()}
     keys = sorted(out)
     return keys, [out[k] for k in keys], den
+
+
+def _term_values(poly: "MPoly", point: list, p: int) -> list:
+    """The value of each term of ``poly`` over F_p at a point of int
+    residues, in term order, as unreduced ints (products of residues)."""
+    out = []
+    for exps, c in poly.terms.items():
+        v = c.v
+        for x, e in zip(point, exps):
+            if e:
+                v *= pow(x, e, p)
+        out.append(v)
+    return out
 
 
 def _unpack(packed: tuple, field: Field, nvars: int, width: int) -> "MPoly":
@@ -333,15 +351,19 @@ class MPoly:
         """
         if not 0 <= index < self.nvars:
             raise BadIndex(f"variable index {index} outside 0..{self.nvars - 1}")
+        # lowering one exponent keeps the keys distinct and in graded-lex
+        # order, so the result is canonical once zero coefficients are gone
         acc = {}
         for e, c in self.terms.items():
             k = e[index]
             if k == 0:
                 continue
-            new = list(e)
-            new[index] = k - 1
-            acc[tuple(new)] = c * k
-        return MPoly(self.field, self.nvars, acc)
+            c = c * k
+            if c:
+                new = list(e)
+                new[index] = k - 1
+                acc[tuple(new)] = c
+        return MPoly._canonical(self.field, self.nvars, acc)
 
     def substitute(self, images: Sequence["MPoly"], max_degree=None) -> "MPoly":
         """Compose with the given images, one per variable.
@@ -406,6 +428,9 @@ class MPoly:
         if len(point) != self.nvars:
             raise ArityMismatch(f"point of length {len(point)} in {self.nvars} variables")
         vals = [self.field.coerce(x) for x in point]
+        p = self.field.characteristic
+        if p:
+            return Fp(sum(_term_values(self, [x.v for x in vals], p)), p)
         acc = self.field.zero
         for exps, c in self.terms.items():
             prod = c
@@ -430,6 +455,12 @@ class MPoly:
         if len(direction) != self.nvars:
             raise ArityMismatch(f"direction of length {len(direction)} in {self.nvars} variables")
         b = [self.field.coerce(x) for x in direction]
+        p = self.field.characteristic
+        if p:
+            coeffs = [0] * (self.degree() + 1)
+            for exps, v in zip(self.terms, _term_values(self, [x.v for x in b], p)):
+                coeffs[sum(exps)] += v
+            return UniPoly(self.field, coeffs)
         coeffs = [self.field.zero] * (self.degree() + 1)
         for exps, c in self.terms.items():
             prod = c
@@ -525,6 +556,12 @@ class UniPoly:
 
     def evaluate(self, t):
         t = self.field.coerce(t)
+        p = self.field.characteristic
+        if p:
+            t, acc = t.v, 0
+            for c in reversed(self.coeffs):
+                acc = (acc * t + c.v) % p
+            return Fp(acc, p)
         acc = self.field.zero
         for c in reversed(self.coeffs):
             acc = acc * t + c

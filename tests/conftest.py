@@ -11,6 +11,7 @@ from kellerlab import (
     MPoly,
     PolyMap,
     TheoremViolation,
+    UniPoly,
     find_rank_drop,
     generalized_vandermonde,
     parse,
@@ -123,6 +124,34 @@ def naive_substitute(poly, images, max_degree=None):
         kept = {e: c for e, c in total.terms.items() if sum(e) <= max_degree}
         total = MPoly(tgt.field, tgt.nvars, kept)
     return total
+
+
+def _naive_term(term, vals, exps):
+    for x, e in zip(vals, exps):
+        for _ in range(e):
+            term = term * x
+    return term
+
+
+def naive_evaluate(poly, point):
+    """Term-by-term evaluation by repeated multiplication of field
+    elements: the reference for ``MPoly.evaluate``."""
+    vals = [poly.field.coerce(x) for x in point]
+    total = poly.field.zero
+    for exps, c in poly.terms.items():
+        total = total + _naive_term(c, vals, exps)
+    return total
+
+
+def naive_restrict_to_line(poly, direction):
+    """``t -> poly(t * direction)`` collected degree by degree with field
+    elements: the reference for ``MPoly.restrict_to_line``."""
+    field = poly.field
+    b = [field.coerce(x) for x in direction]
+    coeffs = [field.zero] * (poly.degree() + 1)
+    for exps, c in poly.terms.items():
+        coeffs[sum(exps)] = coeffs[sum(exps)] + _naive_term(c, b, exps)
+    return UniPoly(field, coeffs)
 
 
 def naive_collision_search(polymap, r):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import kellerlab.collinear as collinear
 from kellerlab import (
     CollisionWitness,
     Fp,
@@ -189,6 +190,20 @@ class TestFindRankDrop:
         F = pmap(QQ, 1, "x1^2")
         with pytest.raises(PreconditionFailed):
             find_rank_drop(F, [1], [0, 1], [0, 1, 2])
+
+    def test_empty_parameter_list_rejected(self):
+        F = pmap(QQ, 1, "3")
+        with pytest.raises(PreconditionFailed, match="^the parameter list must not be empty$"):
+            find_rank_drop(F, [1], [], [0])
+
+    def test_only_differing_images_are_different_values(self):
+        # no images at all: no two differ, so that check passes
+        collinear._check_hypotheses(QQ, [], (0,), iter(()))
+        unequal = iter([(Fraction(0),), (Fraction(1),)])
+        with pytest.raises(
+            PreconditionFailed, match="^the map takes different values at the given points$"
+        ):
+            collinear._check_hypotheses(QQ, [Fraction(0), Fraction(1)], (0, 1, 2), unequal)
 
     def test_uncovered_support_rejected(self):
         F = pmap(QQ, 1, "x1^4 - x1")
@@ -446,6 +461,33 @@ class TestCollisionSearch:
         origins = {w.base for w in witnesses}
         assert len(witnesses) > len(origins)  # some origin repeats
         assert len(calls) == len(set(calls)) == len(origins)
+
+    # map degree <= r, so every witness's rank-drop check reaches its own
+    # Vandermonde matrix
+    @pytest.mark.parametrize(
+        "field,texts,r",
+        [
+            (F5, ("x1^2 + x2", "x1*x2"), 2),
+            (F7, ("x1^2", "x2^2 + x1"), 2),
+            (F7, ("x1^3 + x2", "x2^3"), 3),
+        ],
+    )
+    def test_ranks_each_params_tuple_once(self, monkeypatch, field, texts, r):
+        F = pmap(field, 2, *texts)
+        expected = naive_collision_search(F, r)
+        calls = []
+        vandermonde = collinear.generalized_vandermonde
+
+        def counting(field, points, degrees):
+            calls.append(tuple(points))
+            return vandermonde(field, points, degrees)
+
+        monkeypatch.setattr(collinear, "generalized_vandermonde", counting)
+        witnesses = collision_search(F, r)
+        assert witnesses == expected
+        distinct = {w.params for w in witnesses}
+        assert len(witnesses) > len(distinct)  # some params tuple repeats
+        assert len(calls) == len(witnesses) + len(distinct)
 
     def test_matches_brute_force_oracle(self):
         # count (line, image) collision pairs directly from all point pairs

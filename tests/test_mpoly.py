@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kellerlab import Fp, MPoly, PrimeField, QQ, UniPoly, parse, rational_roots, render
 from kellerlab.errors import (
@@ -14,12 +15,23 @@ from kellerlab.errors import (
     ParseError,
 )
 
-from conftest import P, naive_product, naive_substitute, random_mpoly, rng_for
+from conftest import (
+    P,
+    naive_evaluate,
+    naive_product,
+    naive_restrict_to_line,
+    naive_substitute,
+    random_mpoly,
+    rng_for,
+)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+F7 = PrimeField(7)
 F101 = PrimeField(101)
+# the least prime above 10^18: residues and their products exceed 64 bits
+FBIG = PrimeField(10**18 + 3)
 
 
 def monomial(field, nvars, exps, c=1):
@@ -105,6 +117,23 @@ class TestDerivative:
     def test_bad_index(self):
         with pytest.raises(BadIndex):
             P("x1", 1, QQ).derivative(1)
+
+    def test_result_is_canonical_over_q_and_fp(self):
+        rng = rng_for("derivative-canonical")
+        for field in (QQ, F2, F3, F5, F101):
+            for _ in range(30):
+                poly = random_mpoly(rng, field, 3, max_deg=6, max_terms=8, span=20)
+                for j in range(3):
+                    assert_canonical(poly.derivative(j))
+
+    def test_char_p_keeps_only_terms_with_nonzero_factor(self):
+        for p in (2, 3, 5):
+            field = PrimeField(p)
+            poly = P(f"x1^{p + 1}*x2 + x1^{p}*x2^3 + x1^{p} + x2", 2, field)
+            d = poly.derivative(0)
+            assert d.terms == {(p, 1): Fp(1, p)}  # (p + 1) x1^p x2
+            assert_canonical(d)
+            assert P(f"x1^{p}", 1, field).derivative(0).terms == {}
 
     def test_leibniz_rule(self):
         rng = rng_for("leibniz")
@@ -336,6 +365,80 @@ class TestRestrictToLine:
 
     def test_collects_coefficients(self):
         assert P("x1*x2", 2, QQ).restrict_to_line([2, 3]) == UniPoly(QQ, [0, 0, 6])
+
+
+PRIME_FIELDS = [F2, F3, F101, FBIG]
+
+
+def residue(draw, p):
+    """A value mod p given as an ``Fp`` residue, a plain int or a negative int."""
+    v = draw(st.integers(0, p - 1))
+    form = draw(st.sampled_from(["fp", "int", "negative"]))
+    if form == "fp":
+        return Fp(v, p)
+    if form == "int":
+        return v + p * draw(st.integers(0, 2))
+    return v - p * draw(st.integers(1, 2))
+
+
+@st.composite
+def residue_case(draw):
+    """A polynomial over a prime field and a point in one of the forms of
+    ``residue``."""
+    field = draw(st.sampled_from(PRIME_FIELDS))
+    p = field.p
+    nvars = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 4)] * nvars)
+    terms = draw(st.dictionaries(exps, st.integers(-3 * p, 3 * p), max_size=6))
+    return MPoly(field, nvars, terms), [residue(draw, p) for _ in range(nvars)]
+
+
+@st.composite
+def univariate_case(draw):
+    """Dense coefficients over a prime field and an argument in one of the
+    forms of ``residue``."""
+    field = draw(st.sampled_from(PRIME_FIELDS))
+    p = field.p
+    coeffs = draw(st.lists(st.integers(-3 * p, 3 * p), max_size=9))
+    return field, coeffs, residue(draw, p)
+
+
+class TestResidueEvaluation:
+    """F_p evaluation runs on int residues; it must agree with the
+    field-element references in ``conftest``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=residue_case())
+    def test_evaluate_matches_reference(self, case):
+        poly, point = case
+        value = poly.evaluate(point)
+        assert type(value) is Fp and value.p == poly.field.p
+        assert value == naive_evaluate(poly, point)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=residue_case())
+    def test_restrict_to_line_matches_reference(self, case):
+        poly, direction = case
+        line = poly.restrict_to_line(direction)
+        assert line == naive_restrict_to_line(poly, direction)
+        assert all(type(c) is Fp for c in line.coeffs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=univariate_case())
+    def test_unipoly_evaluate_matches_reference(self, case):
+        field, coeffs, t = case
+        value = UniPoly(field, coeffs).evaluate(t)
+        univariate = MPoly(field, 1, {(k,): c for k, c in enumerate(coeffs)})
+        assert type(value) is Fp and value == naive_evaluate(univariate, [t])
+
+    def test_residue_of_another_modulus_is_rejected(self):
+        poly = P("x1^2 + 3*x2", 2, F7)
+        with pytest.raises(FieldMismatch):
+            poly.evaluate([Fp(1, 5), 2])
+        with pytest.raises(FieldMismatch):
+            poly.restrict_to_line([1, Fp(2, 5)])
+        with pytest.raises(FieldMismatch):
+            UniPoly(F7, [1, 2, 3]).evaluate(Fp(4, 5))
 
 
 class TestParse:
