@@ -18,7 +18,7 @@ from .errors import (
 )
 from .field_linalg import Matrix, PrimeField, Rationals, generalized_vandermonde
 from .mpoly import MPoly, UniPoly, rational_roots
-from .polymap import PolyMap
+from .polymap import PolyMap, PolyMatrix
 
 DEFAULT_COLLISION_BUDGET = 10_000_000
 
@@ -50,7 +50,11 @@ class CollisionWitness(NamedTuple):
 
     Scalars are normalized so the collision points are ``base + params[i] *
     b`` with ``params[0] = 0``; the translated map x -> F(x + base) takes
-    equal values at ``params[i] * b``.  ``det_jac_nonconstant`` records
+    equal values at ``params[i] * b``.  ``rank_drop_param`` is
+    ``find_rank_drop(F.translate(base), b, params, degrees).value``: a
+    scalar s with (jac F)(base + s b) killing b, 0 when F is constant along
+    the line, and None when that call's hypotheses fail or the restricted
+    derivative has no root in the field.  ``det_jac_nonconstant`` records
     whether det jac F fails to be a nonzero constant of the field.
     """
 
@@ -217,25 +221,55 @@ def find_rank_drop(polymap: PolyMap, b: Sequence, params: Sequence, degrees: Seq
     if pivot is None:
         return RankDropResult(value=field.zero, derivative=UniPoly.zero(field))
     root = _smallest_root(field, pivot)
-    if root is None:
-        return RankDropResult(value=None, derivative=pivot)
-    point = [root * x for x in direction]
-    image = polymap.jacobian().evaluate(point).matvec(direction)
-    if any(image):
-        raise TheoremViolation(
-            "restricted Jacobian does not annihilate the direction at the root"
-        )
+    if root is not None:
+        _check_annihilation(polymap.jacobian(), [root * x for x in direction], direction)
     return RankDropResult(value=root, derivative=pivot)
 
 
-def _smallest_root(field, poly: UniPoly):
+def _smallest_root(field, poly: UniPoly, shift: int = 0):
+    """The smallest s with poly(shift + s) = 0, or None when there is none.
+
+    Over F_p, s runs through 0..p-1.  Over Q the shift is always 0 and s is
+    the first rational root in the canonical (|num|, den, sign) order.
+    """
     if isinstance(field, PrimeField):
-        for t in range(field.p):
-            if not poly.evaluate(t):
-                return field.coerce(t)
+        for s in range(field.p):
+            if not poly.evaluate(shift + s):
+                return field.coerce(s)
         return None
     roots = rational_roots(poly)
     return roots[0] if roots else None
+
+
+def _check_annihilation(jacobian: PolyMatrix, point: list, direction: list) -> None:
+    """Raise TheoremViolation unless the Jacobian at the point kills the
+    direction (the conclusion at a root of the restricted derivative)."""
+    if any(jacobian.evaluate(point).matvec(direction)):
+        raise TheoremViolation(
+            "restricted Jacobian does not annihilate the direction at the root"
+        )
+
+
+def _line_derivative(polymap: PolyMap, base: tuple, b: tuple) -> UniPoly:
+    """H_i' for the first i with H_i' nonzero, where H_i(t) = F_i(base + t b);
+    the zero polynomial when every H_i' is zero.
+
+    H is built by substituting the images base_k + b_k t, never
+    interpolated from the map's values on the line: over F_p a polynomial
+    of degree p or more is not determined by its values, and neither is its
+    derivative (x1^3 and x1 agree on F_3).
+    """
+    field = polymap.field
+    images = [MPoly(field, 1, {(1,): bk, (0,): ck}) for ck, bk in zip(base, b)]
+    for component in polymap.components:
+        restricted = component.substitute(images)
+        coeffs = [field.zero] * (restricted.degree() + 1)
+        for (k,), c in restricted.terms.items():
+            coeffs[k] = c
+        derivative = UniPoly(field, coeffs).derivative()
+        if not derivative.is_zero():
+            return derivative
+    return UniPoly.zero(field)
 
 
 def verify_collision_obstruction(polymap: PolyMap, witness: CollisionWitness) -> bool:
@@ -412,6 +446,21 @@ def collision_search(polymap: PolyMap, r: int, budget: Optional[int] = None) -> 
     by translating the first collision point to the origin; parameters are
     the point offsets along the line and the degree list is 0..r.
 
+    A witness's ``rank_drop_param`` is
+    ``find_rank_drop(F.translate(origin), b, params, 0..r).value``, or None
+    where that call's hypotheses fail, found without building the translated
+    map.  Its support hypothesis holds iff deg F <= r (translation keeps the
+    top homogeneous part), its equal images hold by construction, and its
+    Vandermonde hypothesis is ``vandermonde_rank == r``.  When they hold, the
+    line's restriction H_i(t) = F_i(base + t b) is built once, by
+    substitution.  For a witness whose first point is base + t0 b, the
+    derivative that ``find_rank_drop`` searches, of s -> F_i(origin + s b),
+    is H_i'(t0 + s).  So the value is 0 when every H_i' is zero, else the
+    smallest s in 0..p-1 with H_i'(t0 + s) = 0 for the first nonzero H_i',
+    else None.  The Jacobian is built once per call, and a found root must
+    pass the annihilation check of ``find_rank_drop`` or TheoremViolation is
+    raised.
+
     When the witness satisfies the unit-determinant obstruction's hypotheses
     (r at least the map degree, r at least 2, characteristic not dividing r)
     the determinant is required to be non-unit; a violation raises
@@ -433,45 +482,54 @@ def collision_search(polymap: PolyMap, r: int, budget: Optional[int] = None) -> 
     points = list(itertools.product(range(p), repeat=n))
     # images as residue tuples, so grouping a line's points hashes ints
     table = {pt: tuple(v.v for v in polymap.evaluate(pt)) for pt in points}
-    # (direction, pivot): the first nonzero coordinate of the direction is 1
-    directions = [(b, b.index(1)) for b in points if next(filter(None, b), 0) == 1]
+    # (direction, pivot, direction in the field): the first nonzero
+    # coordinate of the direction is 1
+    directions = [
+        (b, b.index(1), tuple(field.coerce(c) for c in b))
+        for b in points
+        if next(filter(None, b), 0) == 1
+    ]
     det_nonconstant = not polymap.is_keller()
     map_degree = polymap.degree()
     degrees = tuple(range(r + 1))
+    # the translated map's term degrees lie in 0..r iff the map's do
+    jacobian = polymap.jacobian() if map_degree <= r else None
     witnesses = []
-    translations = {}  # origin -> the map translated there, built once per call
     ranks = {}  # offsets -> rank of their Vandermonde matrix, ranked once per call
     for base in points:
-        for b, pivot in directions:
+        for b, pivot, direction in directions:
             if base[pivot]:
                 continue
             line_pts = [tuple((base[k] + t * b[k]) % p for k in range(n)) for t in range(p)]
             groups: dict = {}
             for t, pt in enumerate(line_pts):
                 groups.setdefault(table[pt], []).append(t)
+            derivative = None  # built at the line's first witness that needs it
             for ts in groups.values():
                 if len(ts) < r:
                     continue
                 sel = ts[:r]
-                origin = line_pts[sel[0]]
+                origin = tuple(field.coerce(c) for c in line_pts[sel[0]])
                 offsets = tuple(t - sel[0] for t in sel)
                 params = tuple(field.coerce(t) for t in offsets)
                 rank = ranks.get(offsets)
                 if rank is None:
                     rank = generalized_vandermonde(field, params, degrees[:r]).rank()
                     ranks[offsets] = rank
-                translated = translations.get(origin)
-                if translated is None:
-                    translated = polymap.translate([field.coerce(c) for c in origin])
-                    translations[origin] = translated
-                try:
-                    drop = find_rank_drop(translated, b, params, degrees)
-                    drop_value = drop.value
-                except PreconditionFailed:
-                    drop_value = None
+                drop_value = None
+                if jacobian is not None and rank == r:
+                    if derivative is None:
+                        derivative = _line_derivative(polymap, base, b)
+                    if derivative.is_zero():
+                        drop_value = field.zero
+                    else:
+                        drop_value = _smallest_root(field, derivative, sel[0])
+                        if drop_value is not None:
+                            point = [c + drop_value * x for c, x in zip(origin, direction)]
+                            _check_annihilation(jacobian, point, direction)
                 witness = CollisionWitness(
-                    b=tuple(field.coerce(c) for c in b),
-                    base=tuple(field.coerce(c) for c in origin),
+                    b=direction,
+                    base=origin,
                     params=params,
                     degrees=degrees,
                     vandermonde_rank=rank,

@@ -42,7 +42,9 @@ call converts its operands once and converts the result back once:
 Evaluation over F_p works on int residues too: :meth:`MPoly.evaluate` and
 :meth:`MPoly.restrict_to_line` sum unreduced term values and reduce each sum
 once, and :meth:`UniPoly.evaluate` runs Horner's rule on ints, so each value
-is wrapped in a single ``Fp``.
+is wrapped in a single ``Fp``.  A point is coerced once per call
+(``_coerce_point``), also when a map or a polynomial matrix evaluates all of
+its entries there.
 """
 
 from __future__ import annotations
@@ -158,6 +160,14 @@ def _reduce(acc: dict, den: int, p: int) -> tuple:
                 out = {k: v // g for k, v in out.items()}
     keys = sorted(out)
     return keys, [out[k] for k in keys], den
+
+
+def _coerce_point(field: Field, point: Sequence) -> list:
+    """The coordinates coerced into the field, as int residues over F_p:
+    the form :meth:`MPoly._evaluate` takes, so a caller that evaluates
+    several polynomials at one point coerces it once."""
+    vals = [field.coerce(x) for x in point]
+    return [x.v for x in vals] if field.characteristic else vals
 
 
 def _term_values(poly: "MPoly", point: list, p: int) -> list:
@@ -427,10 +437,13 @@ class MPoly:
     def evaluate(self, point: Sequence):
         if len(point) != self.nvars:
             raise ArityMismatch(f"point of length {len(point)} in {self.nvars} variables")
-        vals = [self.field.coerce(x) for x in point]
+        return self._evaluate(_coerce_point(self.field, point))
+
+    def _evaluate(self, vals: list):
+        """The value at a point already passed through ``_coerce_point``."""
         p = self.field.characteristic
         if p:
-            return Fp(sum(_term_values(self, [x.v for x in vals], p)), p)
+            return Fp(sum(_term_values(self, vals, p)), p)
         acc = self.field.zero
         for exps, c in self.terms.items():
             prod = c
@@ -454,11 +467,11 @@ class MPoly:
         """The univariate polynomial ``t -> self(t * direction)``."""
         if len(direction) != self.nvars:
             raise ArityMismatch(f"direction of length {len(direction)} in {self.nvars} variables")
-        b = [self.field.coerce(x) for x in direction]
+        b = _coerce_point(self.field, direction)
         p = self.field.characteristic
         if p:
             coeffs = [0] * (self.degree() + 1)
-            for exps, v in zip(self.terms, _term_values(self, [x.v for x in b], p)):
+            for exps, v in zip(self.terms, _term_values(self, b, p)):
                 coeffs[sum(exps)] += v
             return UniPoly(self.field, coeffs)
         coeffs = [self.field.zero] * (self.degree() + 1)

@@ -8,7 +8,7 @@ from typing import Sequence
 
 from .errors import ArityMismatch, FieldMismatch, NonSquare, NotHomogeneous
 from .field_linalg import Field, Matrix
-from .mpoly import MPoly, render
+from .mpoly import MPoly, _coerce_point, render
 
 
 class PolyMap:
@@ -82,8 +82,8 @@ class PolyMap:
     def evaluate(self, point: Sequence) -> tuple:
         if len(point) != self.n:
             raise ArityMismatch(f"point of length {len(point)} for a map on {self.n} variables")
-        vals = [self.field.coerce(x) for x in point]
-        return tuple(c.evaluate(vals) for c in self.components)
+        vals = _coerce_point(self.field, point)
+        return tuple(c._evaluate(vals) for c in self.components)
 
     def compose(self, inner: "PolyMap") -> "PolyMap":
         """self after inner (``self.n`` must equal ``inner.m``)."""
@@ -171,10 +171,12 @@ class PolyMatrix:
         return "[" + "; ".join(", ".join(render(e) for e in row) for row in self.grid) + "]"
 
     def evaluate(self, point: Sequence) -> Matrix:
-        vals = [self.field.coerce(x) for x in point]
+        if len(point) != self.nvars:
+            raise ArityMismatch(f"point of length {len(point)} in {self.nvars} variables")
+        vals = _coerce_point(self.field, point)
         return Matrix(
             self.field,
-            [[e.evaluate(vals) for e in row] for row in self.grid],
+            [[e._evaluate(vals) for e in row] for row in self.grid],
             ncols=self.ncols,
         )
 

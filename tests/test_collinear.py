@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from kellerlab import (
     LineData,
     Matrix,
     PolyMap,
+    PolyMatrix,
     PrimeField,
     QQ,
     collision_search,
@@ -32,6 +34,8 @@ F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
 F7 = PrimeField(7)
+F11 = PrimeField(11)
+F13 = PrimeField(13)
 
 
 class TestLineRestriction:
@@ -429,7 +433,8 @@ class TestCollisionSearch:
     # n = 3 stops at F_5: over F_7 the reference loop takes seconds per map
     @pytest.mark.parametrize(
         "field,n",
-        [(F, n) for F in (F2, F3, F5, F7) for n in (1, 2, 3) if F.p**n <= 125],
+        [(F, n) for F in (F2, F3, F5, F7) for n in (1, 2, 3) if F.p**n <= 125]
+        + [(F11, 2), (F13, 2)],
         ids=lambda v: repr(v) if isinstance(v, PrimeField) else f"n{v}",
     )
     def test_matches_every_base_loop_in_order(self, field, n):
@@ -447,7 +452,9 @@ class TestCollisionSearch:
                 found += len(witnesses)
         assert found
 
-    def test_translates_once_per_distinct_origin(self, monkeypatch):
+    def test_never_translates(self, monkeypatch):
+        F = pmap(F3, 2, "x1^2", "x2^2")
+        expected = naive_collision_search(F, 2)
         calls = []
         translate = PolyMap.translate
 
@@ -456,14 +463,39 @@ class TestCollisionSearch:
             return translate(self, point)
 
         monkeypatch.setattr(PolyMap, "translate", counting)
-        F = pmap(F3, 2, "x1^2", "x2^2")
         witnesses = collision_search(F, 2)
-        origins = {w.base for w in witnesses}
-        assert len(witnesses) > len(origins)  # some origin repeats
-        assert len(calls) == len(set(calls)) == len(origins)
+        assert witnesses == expected
+        assert any(w.rank_drop_param is not None for w in witnesses)
+        assert calls == []
 
-    # map degree <= r, so every witness's rank-drop check reaches its own
-    # Vandermonde matrix
+    # is_keller builds its own Jacobian for the determinant; it is fixed to
+    # its true value so the count is of the Jacobian the rank drop uses
+    @pytest.mark.parametrize(
+        "field,texts,r,builds",
+        [
+            (F5, ("x1^2 + x2", "x1*x2"), 2, 1),
+            (F7, ("x1^3 + x2", "x2^3"), 3, 1),
+            (F7, ("x1^3 + x2", "x2^3"), 2, 0),
+        ],
+    )
+    def test_builds_the_jacobian_at_most_once(self, monkeypatch, field, texts, r, builds):
+        F = pmap(field, 2, *texts)
+        expected = naive_collision_search(F, r)
+        keller = F.is_keller()
+        calls = []
+        jacobian = PolyMap.jacobian
+
+        def counting(self):
+            calls.append(self)
+            return jacobian(self)
+
+        monkeypatch.setattr(PolyMap, "is_keller", lambda self: keller)
+        monkeypatch.setattr(PolyMap, "jacobian", counting)
+        witnesses = collision_search(F, r)
+        assert witnesses == expected and len(witnesses) > 1
+        assert len(calls) == builds
+
+    # one rank per distinct params tuple, however often the tuple repeats
     @pytest.mark.parametrize(
         "field,texts,r",
         [
@@ -487,7 +519,7 @@ class TestCollisionSearch:
         assert witnesses == expected
         distinct = {w.params for w in witnesses}
         assert len(witnesses) > len(distinct)  # some params tuple repeats
-        assert len(calls) == len(witnesses) + len(distinct)
+        assert len(calls) == len(distinct)
 
     def test_matches_brute_force_oracle(self):
         # count (line, image) collision pairs directly from all point pairs
@@ -517,3 +549,91 @@ class TestCollisionSearch:
                     values.setdefault(table[pt], []).append(pt)
                 expected += sum(1 for group in values.values() if len(group) >= 2)
             assert len(witnesses) == expected
+
+
+def rank_drop_outcome(F, w):
+    """Which branch of ``find_rank_drop`` on the translated map a witness
+    takes: the reference meaning of its ``rank_drop_param``."""
+    translated = F.translate(list(w.base))
+    try:
+        drop = find_rank_drop(translated, w.b, w.params, w.degrees)
+    except PreconditionFailed:
+        # distinct offsets give a full-rank Vandermonde matrix, so only the
+        # support hypothesis can fail
+        assert F.degree() > len(w.params) and w.rank_drop_param is None
+        return "degree above r"
+    assert w.rank_drop_param == drop.value
+    if drop.derivative.is_zero():
+        return "zero derivative"
+    return "root" if drop.found else "no root"
+
+
+class TestCollisionRankDrop:
+    """``collision_search`` finds each rank drop from one restriction per
+    line; the witnesses must equal the translate-per-witness reference in
+    ``conftest``, in order, on every outcome of the rank-drop search."""
+
+    CASES = [
+        (F5, ("x1^2", "x2"), 2),  # roots: H' = 2(a + t)
+        (F5, ("x2", "x2^2"), 2),  # constant along (1, 0): zero derivative
+        (F3, ("x1 - x1^3",), 3),  # H' = 1 over F_3: no root, map degree = p
+        (F3, ("x2^3 + x2", "x2^2 + 1"), 3),  # map degree = p, constant along (1, 0)
+        (F2, ("x1^2 + x2", "x1*x2"), 2),  # map degree = p
+        (F2, ("x1^3 + x2", "x1*x2^2"), 2),  # map degree > p and > r
+        (F7, ("x1^3", "x2"), 2),  # map degree > r
+        (F11, ("x1^2 + x2", "x1*x2 + 3"), 2),
+        (F13, ("x1^3 - x2^2", "x2^3 + x1"), 3),
+    ]
+
+    def test_every_outcome_matches_the_reference(self):
+        outcomes = {}
+        for field, texts, r in self.CASES:
+            F = pmap(field, len(texts), *texts)
+            witnesses = collision_search(F, r)
+            assert witnesses == naive_collision_search(F, r)
+            for w in witnesses:
+                outcome = rank_drop_outcome(F, w)
+                outcomes.setdefault(outcome, set()).add(F.degree() >= field.p)
+        assert set(outcomes) == {"root", "no root", "zero derivative", "degree above r"}
+        # maps of degree >= p reach the restriction, not only the degree
+        # check; there r = deg = p, so each H_i - H_i(0) vanishes on F_p, is a
+        # multiple of t^p - t, and has a constant derivative: no root to find
+        assert True in outcomes["no root"] and True in outcomes["zero derivative"]
+
+
+def transposed_jacobian(jacobian):
+    """Fault injection: a PolyMap.jacobian that returns the transpose.  The
+    determinant, and so the Keller verdict, is unchanged; J^T b need not
+    vanish where J b does."""
+
+    def wrong(self):
+        grid = jacobian(self).grid
+        return PolyMatrix(self.field, self.n, list(zip(*grid)))
+
+    return wrong
+
+
+class TestAnnihilationFault:
+    TEXTS = ("x1^2 + x2", "x1*x2")
+
+    def test_collision_search_raises(self, monkeypatch):
+        F = pmap(F5, 2, *self.TEXTS)
+        assert any(w.rank_drop_param is not None for w in collision_search(F, 2))
+        monkeypatch.setattr(PolyMap, "jacobian", transposed_jacobian(PolyMap.jacobian))
+        with pytest.raises(TheoremViolation, match="does not annihilate"):
+            collision_search(F, 2)
+
+    def test_collide_exits_3(self, monkeypatch, tmp_path, capsys):
+        from kellerlab.cli import main
+
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps({"field": {"Fp": 5}, "nvars": 2, "polys": list(self.TEXTS)}))
+        monkeypatch.setattr(PolyMap, "jacobian", transposed_jacobian(PolyMap.jacobian))
+        code = main(["collide", str(path), "-r", "2"])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "TheoremViolation"
+        assert "does not annihilate" in payload["message"]

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kellerlab import (
     Fp,
@@ -14,14 +15,39 @@ from kellerlab import (
     hadamard_power,
     power_linear,
 )
-from kellerlab.errors import ArityMismatch, NonSquare, NotHomogeneous
+from kellerlab.errors import ArityMismatch, FieldMismatch, NonSquare, NotHomogeneous
 from kellerlab.polymap import apply_matrix
 
-from conftest import P, pmap, random_mpoly, rng_for
+from conftest import P, naive_evaluate, pmap, random_mpoly, rng_for
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+F101 = PrimeField(101)
+
+
+def scalar(draw, field):
+    """A value of the field as its own element, a plain int or (over Q) a
+    fraction; over F_p ints may lie outside [0, p)."""
+    if field.characteristic:
+        p = field.p
+        v = draw(st.integers(-2 * p, 3 * p))
+        return Fp(v, p) if draw(st.booleans()) else v
+    num = draw(st.integers(-9, 9))
+    return Fraction(num, draw(st.integers(1, 4))) if draw(st.booleans()) else num
+
+
+@st.composite
+def map_case(draw):
+    """A map over F_2, F_101 or Q with 1 to 3 components and a point."""
+    field = draw(st.sampled_from([F2, F101, QQ]))
+    n = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 4)] * n)
+    comps = [
+        MPoly(field, n, draw(st.dictionaries(exps, st.integers(-9, 9), max_size=5)))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return PolyMap(field, n, comps), [scalar(draw, field) for _ in range(n)]
 
 
 def random_map(rng, field, n, max_deg=2):
@@ -177,6 +203,27 @@ class TestEvaluateMap:
         F = pmap(F2, 1, "x1 - x1^2")
         assert F.evaluate([0]) == (Fp(0, 2),)
         assert F.evaluate([1]) == (Fp(0, 2),)
+
+    # the map and its Jacobian coerce the point once and evaluate every
+    # entry on the coerced values; each entry must agree with the
+    # field-element reference
+    @settings(max_examples=150, deadline=None)
+    @given(case=map_case())
+    def test_matches_reference_per_component(self, case):
+        F, point = case
+        assert F.evaluate(point) == tuple(naive_evaluate(c, point) for c in F.components)
+        rows = F.jacobian().evaluate(point).rows
+        assert rows == tuple(
+            tuple(naive_evaluate(e, point) for e in row) for row in F.jacobian().grid
+        )
+
+    def test_point_errors(self):
+        F = pmap(F5, 2, "x1^2", "x2")
+        for evaluate in (F.evaluate, F.jacobian().evaluate):
+            with pytest.raises(ArityMismatch):
+                evaluate([1])
+            with pytest.raises(FieldMismatch):
+                evaluate([Fp(1, 7), 2])
 
 
 class TestHomogeneousDecomposition:
