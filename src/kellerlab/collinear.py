@@ -229,12 +229,19 @@ def find_rank_drop(polymap: PolyMap, b: Sequence, params: Sequence, degrees: Seq
 def _smallest_root(field, poly: UniPoly, shift: int = 0):
     """The smallest s with poly(shift + s) = 0, or None when there is none.
 
-    Over F_p, s runs through 0..p-1.  Over Q the shift is always 0 and s is
-    the first rational root in the canonical (|num|, den, sign) order.
+    Over F_p, s runs through 0..p-1, each tested by Horner's rule on int
+    residues; only the root found becomes an ``Fp``.  Over Q the shift is
+    always 0 and s is the first rational root in the canonical (|num|, den,
+    sign) order.
     """
     if isinstance(field, PrimeField):
-        for s in range(field.p):
-            if not poly.evaluate(shift + s):
+        p = field.p
+        coeffs = [c.v for c in reversed(poly.coeffs)]
+        for s in range(p):
+            t, acc = (shift + s) % p, 0
+            for c in coeffs:
+                acc = (acc * t + c) % p
+            if not acc:
                 return field.coerce(s)
         return None
     roots = rational_roots(poly)

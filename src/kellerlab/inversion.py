@@ -20,7 +20,7 @@ from .errors import (
     TheoremViolation,
 )
 from .field_linalg import Matrix
-from .mpoly import MPoly
+from .mpoly import MPoly, _substitute_all
 from .polymap import PolyMap, apply_matrix, power_linear
 
 VERDICT_POLYNOMIAL = "PolynomialInverse"
@@ -118,9 +118,7 @@ def formal_inverse(polymap: PolyMap, max_deg: Optional[int] = None) -> InverseRe
     correction = PolyMap(field, n, [MPoly.zero(field, n)] * n)
     for _ in range(max_deg):
         images = [x - g for x, g in zip(xs, correction.components)]
-        step = PolyMap(
-            field, n, [h.substitute(images, max_degree=max_deg) for h in higher.components]
-        )
+        step = PolyMap(field, n, _substitute_all(higher.components, images, max_deg))
         if step == correction:
             break
         correction = step
@@ -232,9 +230,7 @@ def extend_inverse(polymap: PolyMap, r: int, sub_correction: PolyMap) -> PolyMap
     xs = MPoly.variables(field, n)
     padded = [g.pad_vars(n) for g in sub_correction.components]
     images = [xs[j] - padded[j] for j in range(r)] + list(xs[r:])
-    corrections = list(padded)
-    for i in range(r, n):
-        corrections.append(higher.components[i].substitute(images))
+    corrections = padded + _substitute_all(higher.components[r:], images)
     inverse = PolyMap(field, n, [x - g for x, g in zip(xs, corrections)])
     if not verify_inverse(polymap, inverse):
         raise TheoremViolation("extended inverse failed its composition check")

@@ -21,9 +21,13 @@ Note the grammar binds unary minus tighter than "^": ``-x1^2`` is
 Parentheses and unary minus nest at most ``MAX_NESTING`` levels deep; a
 deeper expression is a ParseError.
 
-Products (``*``, ``**``) and :meth:`MPoly.substitute` run on a packed
-integer kernel (packed monomials after Monagan & Pearce, ISSAC 2009).  Each
-call converts its operands once and converts the result back once:
+Products (``*``, ``**``) and substitution run on a packed integer kernel
+(packed monomials after Monagan & Pearce, ISSAC 2009).  Each call converts
+its operands once and converts the result back once.  One substitution call
+(``_substitute_all``, behind :meth:`MPoly.substitute` and every map
+composition) composes a list of polynomials with one list of images: the
+packed images, each image's power cache and each monomial's product of
+powers are built once and shared by every polynomial in the call.
 
 * A monomial is one int: the total degree in the top bits, then x1 ... xn
   in fields of ``w`` bits, x1 most significant, so integer order is the
@@ -142,6 +146,28 @@ def _power(cache: dict, e: int, limit, p: int) -> tuple:
     return cache[e]
 
 
+def _monomial(products: dict, caches: list, exps: tuple, limit, p: int) -> tuple:
+    """The packed product of the image powers ``exps`` names, truncated below
+    ``limit``; kept in ``products`` by exponent tuple, so a prefix (the same
+    tuple with its last nonzero exponent cleared) is shared by all its
+    extensions."""
+    term = products.get(exps)
+    if term is None:
+        term = _ONE
+        nonzero = [j for j, e in enumerate(exps) if e]
+        if nonzero:
+            j = nonzero[-1]
+            term = _power(caches[j], exps[j], limit, p)
+            if len(nonzero) > 1:
+                rest = exps[:j] + (0,) * (len(exps) - j)
+                term = _product(_monomial(products, caches, rest, limit, p), term, limit, p)
+        if limit is not None:
+            stop = bisect_left(term[0], limit)
+            term = (term[0][:stop], term[1][:stop], term[2])
+        products[exps] = term
+    return term
+
+
 def _reduce(acc: dict, den: int, p: int) -> tuple:
     """Packed canonical form of an accumulator of unreduced integer sums:
     residues mod p over F_p, lowest terms over Q, zeros dropped."""
@@ -171,14 +197,16 @@ def _coerce_point(field: Field, point: Sequence) -> list:
 
 
 def _term_values(poly: "MPoly", point: list, p: int) -> list:
-    """The value of each term of ``poly`` over F_p at a point of int
-    residues, in term order, as unreduced ints (products of residues)."""
+    """The value of each term of ``poly`` at a point from ``_coerce_point``,
+    in term order: over F_p unreduced ints (products of residues), over Q
+    (``p`` = 0) fractions."""
     out = []
+    mod = p or None
     for exps, c in poly.terms.items():
-        v = c.v
+        v = c.v if p else c
         for x, e in zip(point, exps):
             if e:
-                v *= pow(x, e, p)
+                v *= pow(x, e, mod)
         out.append(v)
     return out
 
@@ -198,6 +226,61 @@ def _unpack(packed: tuple, field: Field, nvars: int, width: int) -> "MPoly":
         tuple([k >> s & mask for s in shifts]): c for k, c in zip(reversed(keys), reversed(values))
     }
     return MPoly._canonical(field, nvars, terms)
+
+
+def _substitute_all(polys: Sequence["MPoly"], images: Sequence["MPoly"], max_degree=None) -> list:
+    """Compose every polynomial in ``polys`` with the same images, one per
+    variable, sharing the packed images, their power caches and each
+    monomial product among all of them (see the module docstring).
+
+    ``max_degree`` truncates every product by total degree, which is sound
+    since degrees only add; each result is the exact composition with its
+    terms above ``max_degree`` dropped.  An empty ``polys`` gives [].
+    """
+    if not polys:
+        return []
+    for poly in polys:
+        if len(images) != poly.nvars:
+            raise ArityMismatch(f"{len(images)} images for {poly.nvars} variables")
+        if poly.nvars == 0:
+            raise ArityMismatch("cannot substitute into a 0-variable polynomial")
+    tgt = images[0]
+    for im in images:
+        if not isinstance(im, MPoly):
+            raise FieldMismatch("images must be polynomials")
+        tgt._compat(im)
+    field, nvars = tgt.field, tgt.nvars
+    for poly in polys:
+        if poly.field != field:
+            raise FieldMismatch(f"{poly.field} vs {field}")
+    p = field.characteristic
+    top = max(im.degree() for im in images)
+    bound = max(poly.degree() for poly in polys) * top
+    if max_degree is not None:
+        bound = min(bound, max_degree)
+    width = _width(max(bound, top))
+    limit = None if max_degree is None else (max_degree + 1) << (width * nvars)
+    packed = [_pack(im, width) for im in images]
+    caches = [{1: im} for im in packed]
+    dens = [im[2] for im in packed]
+    products = {}
+    out = []
+    for poly in polys:
+        # every term product's denominator divides prod(den_j ** e_j), so
+        # their lcm is a shared denominator for the whole sum
+        nums, den = _coefficients(poly)
+        shared = 1
+        if any(d != 1 for d in dens):
+            shared = lcm(*(prod(d**e for d, e in zip(dens, exps)) for exps in poly.terms))
+        acc = {}
+        get = acc.get
+        for exps, num in zip(reversed(poly.terms), nums):
+            keys, coeffs, d = _monomial(products, caches, exps, limit, p)
+            scale = num * (shared // d)
+            for k, c in zip(keys, coeffs):
+                acc[k] = get(k, 0) + scale * c
+        out.append(_unpack(_reduce(acc, den * shared, p), field, nvars, width))
+    return out
 
 
 class MPoly:
@@ -271,16 +354,18 @@ class MPoly:
     def __add__(self, other):
         other = self._as_poly(other)
         self._compat(other)
+        # both term maps are canonical: only a sum can vanish, only the key order changes
         acc = dict(self.terms)
         for e, c in other.terms.items():
             prev = acc.get(e)
             acc[e] = c if prev is None else prev + c
-        return MPoly(self.field, self.nvars, acc)
+        keys = sorted(acc, key=_grlex, reverse=True)
+        return MPoly._canonical(self.field, self.nvars, {e: acc[e] for e in keys if acc[e]})
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly(self.field, self.nvars, {e: -c for e, c in self.terms.items()})
+        return MPoly._canonical(self.field, self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._as_poly(other))
@@ -301,16 +386,8 @@ class MPoly:
         if e < 0:
             raise ValueError("negative polynomial power")
         width = _width(self.degree() * e)
-        p = self.field.characteristic
-        result = _ONE
-        base = _pack(self, width)
-        while e:
-            if e & 1:
-                result = _product(result, base, None, p)
-            e >>= 1
-            if e:
-                base = _product(base, base, None, p)
-        return _unpack(result, self.field, self.nvars, width)
+        power = _power({0: _ONE, 1: _pack(self, width)}, e, None, self.field.characteristic)
+        return _unpack(power, self.field, self.nvars, width)
 
     def __eq__(self, other):
         if not isinstance(other, MPoly):
@@ -376,63 +453,9 @@ class MPoly:
         return MPoly._canonical(self.field, self.nvars, acc)
 
     def substitute(self, images: Sequence["MPoly"], max_degree=None) -> "MPoly":
-        """Compose with the given images, one per variable.
-
-        All images must share a variable count and the field.  The images
-        and ``self``'s coefficients are packed once (see the module
-        docstring); powers of each image are memoized (square-and-multiply)
-        in packed form because composition is the hot path of series
-        inversion, each term of ``self`` becomes a product of cached powers,
-        and all terms are summed into one accumulator that is converted back
-        once.  ``max_degree`` truncates every product by total degree, which
-        is sound since degrees only add; the result is the exact composition
-        with its terms above ``max_degree`` dropped.
-        """
-        if len(images) != self.nvars:
-            raise ArityMismatch(f"{len(images)} images for {self.nvars} variables")
-        if self.nvars == 0:
-            raise ArityMismatch("cannot substitute into a 0-variable polynomial")
-        tgt = images[0]
-        for im in images:
-            if not isinstance(im, MPoly):
-                raise FieldMismatch("images must be polynomials")
-            tgt._compat(im)
-        if self.field != tgt.field:
-            raise FieldMismatch(f"{self.field} vs {tgt.field}")
-        field, nvars = tgt.field, tgt.nvars
-        p = field.characteristic
-        top = max(im.degree() for im in images)
-        bound = self.degree() * top
-        if max_degree is not None:
-            bound = min(bound, max_degree)
-        width = _width(max(bound, top))
-        limit = None if max_degree is None else (max_degree + 1) << (width * nvars)
-        packed = [_pack(im, width) for im in images]
-        caches = [{1: im} for im in packed]
-
-        # every term product's denominator divides prod(den_j ** e_j), so
-        # their lcm is a shared denominator for the whole sum
-        nums, den = _coefficients(self)
-        dens = [im[2] for im in packed]
-        shared = 1
-        if any(d != 1 for d in dens):
-            shared = lcm(*(prod(d**e for d, e in zip(dens, exps)) for exps in self.terms))
-        acc = {}
-        get = acc.get
-        for exps, num in zip(reversed(self.terms), nums):
-            term = _ONE
-            for j, e in enumerate(exps):
-                if e:
-                    pw = _power(caches[j], e, limit, p)
-                    term = pw if term is _ONE else _product(term, pw, limit, p)
-            keys, coeffs, d = term
-            if limit is not None:
-                stop = bisect_left(keys, limit)
-                keys, coeffs = keys[:stop], coeffs[:stop]
-            scale = num * (shared // d)
-            for k, c in zip(keys, coeffs):
-                acc[k] = get(k, 0) + scale * c
-        return _unpack(_reduce(acc, den * shared, p), field, nvars, width)
+        """Compose with the given images, one per variable, all in one ring;
+        ``max_degree`` drops the terms above it (see ``_substitute_all``)."""
+        return _substitute_all([self], images, max_degree)[0]
 
     def evaluate(self, point: Sequence):
         if len(point) != self.nvars:
@@ -444,43 +467,27 @@ class MPoly:
         p = self.field.characteristic
         if p:
             return Fp(sum(_term_values(self, vals, p)), p)
-        acc = self.field.zero
-        for exps, c in self.terms.items():
-            prod = c
-            for j, e in enumerate(exps):
-                if e:
-                    prod = prod * vals[j] ** e
-            acc = acc + prod
-        return acc
+        return sum(_term_values(self, vals, 0), self.field.zero)
 
     def homogeneous_component(self, k: int) -> "MPoly":
-        return MPoly(self.field, self.nvars, {e: c for e, c in self.terms.items() if sum(e) == k})
+        terms = {e: c for e, c in self.terms.items() if sum(e) == k}
+        return MPoly._canonical(self.field, self.nvars, terms)
 
     def homogeneous_components(self) -> dict:
         """Map degree -> homogeneous part, ascending keys; parts sum to self."""
         out = {}
         for e, c in self.terms.items():
             out.setdefault(sum(e), {})[e] = c
-        return {k: MPoly(self.field, self.nvars, out[k]) for k in sorted(out)}
+        return {k: MPoly._canonical(self.field, self.nvars, out[k]) for k in sorted(out)}
 
     def restrict_to_line(self, direction: Sequence) -> "UniPoly":
         """The univariate polynomial ``t -> self(t * direction)``."""
         if len(direction) != self.nvars:
             raise ArityMismatch(f"direction of length {len(direction)} in {self.nvars} variables")
         b = _coerce_point(self.field, direction)
-        p = self.field.characteristic
-        if p:
-            coeffs = [0] * (self.degree() + 1)
-            for exps, v in zip(self.terms, _term_values(self, b, p)):
-                coeffs[sum(exps)] += v
-            return UniPoly(self.field, coeffs)
-        coeffs = [self.field.zero] * (self.degree() + 1)
-        for exps, c in self.terms.items():
-            prod = c
-            for j, e in enumerate(exps):
-                if e:
-                    prod = prod * b[j] ** e
-            coeffs[sum(exps)] = coeffs[sum(exps)] + prod
+        coeffs = [0] * (self.degree() + 1)
+        for exps, v in zip(self.terms, _term_values(self, b, self.field.characteristic)):
+            coeffs[sum(exps)] += v
         return UniPoly(self.field, coeffs)
 
     # ---- variable plumbing -----------------------------------------------
@@ -490,7 +497,7 @@ class MPoly:
         if nvars < self.nvars:
             raise ArityMismatch(f"cannot pad {self.nvars} variables down to {nvars}")
         extra = (0,) * (nvars - self.nvars)
-        return MPoly(self.field, nvars, {e + extra: c for e, c in self.terms.items()})
+        return MPoly._canonical(self.field, nvars, {e + extra: c for e, c in self.terms.items()})
 
     def restrict_vars(self, nvars: int) -> "MPoly":
         """Drop trailing variables; they must not occur in any term."""
@@ -499,7 +506,7 @@ class MPoly:
         for e in self.terms:
             if any(e[nvars:]):
                 raise ArityMismatch("polynomial depends on a dropped variable")
-        return MPoly(self.field, nvars, {e[:nvars]: c for e, c in self.terms.items()})
+        return MPoly._canonical(self.field, nvars, {e[:nvars]: c for e, c in self.terms.items()})
 
     def exact_div(self, divisor: "MPoly") -> "MPoly":
         """Exact quotient ``self / divisor``; raises ValueError when inexact.
@@ -642,25 +649,17 @@ def rational_roots(poly: UniPoly) -> list:
     if shift:
         roots.add(Fraction(0))
     if len(coeffs) > 1:
-        scale = 1
-        for c in coeffs:
-            scale = scale * c.denominator // _gcd(scale, c.denominator)
+        scale = lcm(*[c.denominator for c in coeffs])
         ints = [int(c * scale) for c in coeffs]
         for p in _divisors(abs(ints[0])):
             for q in _divisors(abs(ints[-1])):
-                if _gcd(p, q) != 1:
+                if gcd(p, q) != 1:
                     continue
                 for cand in (Fraction(p, q), Fraction(-p, q)):
                     if poly.evaluate(cand) == 0:
                         roots.add(cand)
     qq = poly.field
     return sorted(roots, key=qq.sort_key)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n: int) -> list:

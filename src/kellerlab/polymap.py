@@ -8,7 +8,7 @@ from typing import Sequence
 
 from .errors import ArityMismatch, FieldMismatch, NonSquare, NotHomogeneous
 from .field_linalg import Field, Matrix
-from .mpoly import MPoly, _coerce_point, render
+from .mpoly import MPoly, _coerce_point, _substitute_all, render
 
 
 class PolyMap:
@@ -94,9 +94,8 @@ class PolyMap:
         if self.n == 0:
             comps = [MPoly.constant(self.field, inner.n, c.constant_term()) for c in self.components]
             return PolyMap(self.field, inner.n, comps)
-        return PolyMap(
-            self.field, inner.n, [c.substitute(inner.components) for c in self.components]
-        )
+        comps = _substitute_all(self.components, inner.components)
+        return PolyMap(self.field, inner.n, comps)
 
     def translate(self, point: Sequence) -> "PolyMap":
         """The map ``x -> self(x + point)``."""
@@ -182,9 +181,8 @@ class PolyMatrix:
 
     def substitute(self, images: Sequence[MPoly]) -> "PolyMatrix":
         nvars = images[0].nvars if images else self.nvars
-        return PolyMatrix(
-            self.field, nvars, [[e.substitute(images) for e in row] for row in self.grid]
-        )
+        flat = iter(_substitute_all([e for row in self.grid for e in row], images))
+        return PolyMatrix(self.field, nvars, [[next(flat) for _ in row] for row in self.grid])
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if not isinstance(other, PolyMatrix):

@@ -14,7 +14,7 @@ from .errors import (
     TheoremViolation,
 )
 from .field_linalg import Matrix, complete_to_basis
-from .mpoly import MPoly, _grlex
+from .mpoly import MPoly, _grlex, _substitute_all
 from .polymap import PolyMap, apply_matrix
 from .inversion import _require_normalized, formal_inverse
 
@@ -119,13 +119,10 @@ def pair_reduction(polymap: PolyMap, reduction: KernelReduction) -> PolyMap:
     # x_{r+1} = ... = x_n = 0
     zeros = [MPoly.zero(field, r)] * (n - r)
     images = list(MPoly.variables(field, r)) + zeros
+    leading = reduction.conjugated.components[:r]
+    expected = _substitute_all(leading, images) if n > 0 else leading
     for i in range(r):
-        expected = (
-            reduction.conjugated.components[i].substitute(images)
-            if n > 0
-            else reduction.conjugated.components[i]
-        )
-        if expected != paired.components[i]:
+        if expected[i] != paired.components[i]:
             raise InconsistentReduction(
                 f"paired component {i + 1} disagrees with the conjugated map"
             )

@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kellerlab.collinear as collinear
 from kellerlab import (
@@ -13,6 +14,7 @@ from kellerlab import (
     PolyMatrix,
     PrimeField,
     QQ,
+    UniPoly,
     collision_search,
     find_rank_drop,
     verify_coefficient_rank,
@@ -599,6 +601,32 @@ class TestCollisionRankDrop:
         # check; there r = deg = p, so each H_i - H_i(0) vanishes on F_p, is a
         # multiple of t^p - t, and has a constant derivative: no root to find
         assert True in outcomes["no root"] and True in outcomes["zero derivative"]
+
+
+class TestSmallestRoot:
+    """Over F_p the root search runs Horner's rule on int residues; it must
+    find the same root, in the same search order, as evaluating field
+    elements one candidate at a time."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        field=st.sampled_from([F2, F3, F13, PrimeField(101)]),
+        coeffs=st.lists(st.integers(-300, 300), max_size=6),
+        shift=st.integers(0, 120),
+    )
+    def test_matches_field_element_search(self, field, coeffs, shift):
+        poly = UniPoly(field, coeffs)
+        expected = next((s for s in range(field.p) if not poly.evaluate(shift + s)), None)
+        root = collinear._smallest_root(field, poly, shift)
+        if expected is None:
+            assert root is None
+        else:
+            assert type(root) is Fp and root == field.coerce(expected)
+
+    def test_rational_branch_is_unchanged(self):
+        poly = UniPoly(QQ, [-2, 1, 1])  # (t - 1)(t + 2)
+        assert collinear._smallest_root(QQ, poly) == Fraction(1)
+        assert collinear._smallest_root(QQ, UniPoly(QQ, [1, 0, 1])) is None
 
 
 def transposed_jacobian(jacobian):

@@ -5,7 +5,8 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kellerlab import Fp, MPoly, PrimeField, QQ, UniPoly, parse, rational_roots, render
+import kellerlab.mpoly as mpoly
+from kellerlab import Fp, MPoly, PolyMap, PrimeField, QQ, UniPoly, parse, rational_roots, render
 from kellerlab.errors import (
     ArityMismatch,
     BadIndex,
@@ -100,6 +101,60 @@ class TestRingOps:
                 for _ in range(4):
                     pt = [field.coerce(rng.randint(-4, 4)) for _ in range(2)]
                     assert (a * b).evaluate(pt) == a.evaluate(pt) * b.evaluate(pt)
+
+
+@st.composite
+def canonical_case(draw):
+    """Two polynomials in one ring over Q, F_2 or F_101, built by the
+    validating constructor."""
+    field = draw(st.sampled_from([QQ, F2, F101]))
+    nvars = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    coeffs = st.integers(-4, 4) if field is F2 else st.integers(-150, 150)
+    a, b = (MPoly(field, nvars, draw(st.dictionaries(exps, coeffs, max_size=6))) for _ in "ab")
+    return a, b
+
+
+def assert_same_terms(r, expected):
+    assert r == expected
+    assert list(r.terms.items()) == list(expected.terms.items())
+    assert_canonical(r)
+
+
+class TestCanonicalPaths:
+    """``+``, ``-``, negation and the term filters wrap their results without
+    re-validating; each must equal what the validating constructor builds
+    from the same terms, in the same order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=canonical_case())
+    def test_sum_difference_and_negation(self, case):
+        a, b = case
+        field, nvars = a.field, a.nvars
+        negated = [(e, -c) for e, c in b.terms.items()]
+        assert_same_terms(a + b, MPoly(field, nvars, [*a.terms.items(), *b.terms.items()]))
+        assert_same_terms(a - b, MPoly(field, nvars, [*a.terms.items(), *negated]))
+        assert_same_terms(-b, MPoly(field, nvars, negated))
+        assert_same_terms(a + 3, MPoly(field, nvars, [*a.terms.items(), ((0,) * nvars, 3)]))
+        assert_same_terms(3 - b, MPoly(field, nvars, [((0,) * nvars, 3), *negated]))
+        assert (a - a).terms == {} and (b - b).terms == {}
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=canonical_case())
+    def test_filters_and_variable_plumbing(self, case):
+        a, _ = case
+        field, nvars = a.field, a.nvars
+        parts = a.homogeneous_components()
+        for k in range(a.degree() + 2):
+            part = a.homogeneous_component(k)
+            kept = {e: c for e, c in a.terms.items() if sum(e) == k}
+            assert_same_terms(part, MPoly(field, nvars, kept))
+            if k in parts:
+                assert_same_terms(parts[k], part)
+        padded = a.pad_vars(nvars + 2)
+        widened = {e + (0, 0): c for e, c in a.terms.items()}
+        assert_same_terms(padded, MPoly(field, nvars + 2, widened))
+        assert_same_terms(padded.restrict_vars(nvars), a)
 
 
 class TestDerivative:
@@ -319,6 +374,106 @@ class TestPackedKernel:
             assert p.substitute([seven, p], max_degree=1) == naive_substitute(p, [seven, p], 1)
 
 
+@st.composite
+def substitution_case(draw):
+    """Several polynomials of different degrees, one list of images and an
+    optional degree bound, over Q with non-unit denominators, F_2 or F_101."""
+    field = draw(st.sampled_from([QQ, F2, F101]))
+    if field is QQ:
+        coeffs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+    else:
+        coeffs = st.integers(-2 * field.p, 2 * field.p)
+    nvars, target = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def poly(n, top, size):
+        exps = st.tuples(*[st.integers(0, top)] * n)
+        return MPoly(field, n, draw(st.dictionaries(exps, coeffs, max_size=size)))
+
+    polys = [poly(nvars, draw(st.integers(0, 3)), 5) for _ in range(draw(st.integers(0, 4)))]
+    if polys and draw(st.booleans()):
+        polys[0] = polys[0] + draw(coeffs)
+    images = [poly(target, 2, 3) for _ in range(nvars)]
+    return polys, images, draw(st.none() | st.integers(0, 5))
+
+
+class TestSubstituteAll:
+    """The shared kernel composes a whole list of polynomials in one pass;
+    each result must be what ``naive_substitute`` gives for that polynomial
+    alone."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=substitution_case())
+    def test_matches_naive_reference_per_polynomial(self, case):
+        polys, images, bound = case
+        results = mpoly._substitute_all(polys, images, bound)
+        assert results == [naive_substitute(p, images, bound) for p in polys]
+        for r in results:
+            assert_canonical(r)
+
+    def test_constants_and_mixed_degrees_in_one_call(self):
+        for field in (QQ, F2, F101):
+            images = [P("x1 + 1/1*x2^2", 2, field), P("x1*x2 - 1", 2, field)]
+            polys = [
+                P("5", 2, field),
+                P("x1^3*x2 + x2 + 2", 2, field),
+                MPoly.zero(field, 2),
+                P("x2^2 - x1", 2, field),
+            ]
+            for bound in (None, 0, 2, 4):
+                results = mpoly._substitute_all(polys, images, bound)
+                assert results == [naive_substitute(p, images, bound) for p in polys]
+                assert [p.substitute(images, bound) for p in polys] == results
+
+    def test_empty_list_and_zero_row_map(self):
+        images = list(MPoly.variables(QQ, 2))
+        assert mpoly._substitute_all([], images) == []
+        assert mpoly._substitute_all([], images, 3) == []
+        empty = PolyMap(QQ, 2, [])
+        composed = empty.compose(PolyMap.identity(QQ, 2))
+        assert composed == empty and composed.m == 0
+
+    def test_errors_match_single_substitution(self):
+        p = P("x1 + x2", 2, QQ)
+        with pytest.raises(ArityMismatch, match="1 images for 2 variables"):
+            mpoly._substitute_all([p, p], [p])
+        with pytest.raises(ArityMismatch, match="0-variable"):
+            mpoly._substitute_all([MPoly.constant(QQ, 0, 1)], [])
+        with pytest.raises(FieldMismatch, match="images must be polynomials"):
+            mpoly._substitute_all([p], [p, 1])
+        with pytest.raises(FieldMismatch):
+            mpoly._substitute_all([p], [P("x1", 2, F5)] * 2)
+
+    def test_shared_support_builds_each_product_once(self, monkeypatch):
+        # components sharing one monomial support (as S^-1 mixes them in a
+        # hidden power-linear map) cost no more products than their sum alone
+        rng = rng_for("substitute-all-count")
+        calls = []
+        product = mpoly._product
+
+        def counted(*args):
+            calls.append(1)
+            return product(*args)
+
+        monkeypatch.setattr(mpoly, "_product", counted)
+        for field in (QQ, F101):
+            for n in (2, 4):
+                support = {tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(8)}
+                comps = [
+                    MPoly(field, n, {e: rng.randint(1, 9) for e in support}) for _ in range(n)
+                ]
+                total = sum(comps[1:], comps[0])
+                assert set(total.terms) == support
+                inner = PolyMap(field, n, [random_mpoly(rng, field, n, 2, 3) for _ in range(n)])
+                calls.clear()
+                composed = PolyMap(field, n, comps).compose(inner)
+                composing = len(calls)
+                calls.clear()
+                assert total.substitute(inner.components) == sum(
+                    composed.components[1:], composed.components[0]
+                )
+                assert composing <= len(calls)
+
+
 class TestHomogeneous:
     def test_term_filter(self):
         p = P("3 + x1 + x1*x2", 2, QQ)
@@ -439,6 +594,33 @@ class TestResidueEvaluation:
             poly.restrict_to_line([1, Fp(2, 5)])
         with pytest.raises(FieldMismatch):
             UniPoly(F7, [1, 2, 3]).evaluate(Fp(4, 5))
+
+
+@st.composite
+def rational_case(draw):
+    """A polynomial over Q with non-unit denominators and a point of
+    fractions and ints."""
+    nvars = draw(st.integers(1, 3))
+    fractions = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 5))
+    exps = st.tuples(*[st.integers(0, 4)] * nvars)
+    terms = draw(st.dictionaries(exps, fractions, max_size=6))
+    point = [draw(fractions | st.integers(-4, 4)) for _ in range(nvars)]
+    return MPoly(QQ, nvars, terms), point
+
+
+class TestRationalEvaluation:
+    """Q evaluation shares ``_term_values`` with F_p; it must agree with the
+    field-element references in ``conftest``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=rational_case())
+    def test_evaluate_and_restrict_match_reference(self, case):
+        poly, point = case
+        value = poly.evaluate(point)
+        assert type(value) is Fraction and value == naive_evaluate(poly, point)
+        line = poly.restrict_to_line(point)
+        assert line == naive_restrict_to_line(poly, point)
+        assert all(type(c) is Fraction for c in line.coeffs)
 
 
 class TestParse:
