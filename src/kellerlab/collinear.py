@@ -16,8 +16,8 @@ from .errors import (
     TheoremViolation,
     ZeroDirection,
 )
-from .field_linalg import Matrix, PrimeField, Rationals, generalized_vandermonde
-from .mpoly import MPoly, UniPoly, rational_roots
+from .field_linalg import Fp, Matrix, PrimeField, Rationals, generalized_vandermonde
+from .mpoly import MPoly, UniPoly, _coerce_point, _term_values, rational_roots
 from .polymap import PolyMap, PolyMatrix
 
 DEFAULT_COLLISION_BUDGET = 10_000_000
@@ -109,6 +109,13 @@ def line_restriction(polymap: PolyMap, b: Sequence, base, degrees=None) -> LineD
         raise ZeroDirection("the line direction must be nonzero")
     base = field.coerce(base)
     anchor = polymap.evaluate([base * x for x in direction])
+    return _line_data(polymap, direction, base, anchor, degrees)
+
+
+def _line_data(polymap: PolyMap, direction: list, base, anchor: tuple, degrees) -> LineData:
+    """``line_restriction`` for a coerced nonzero direction and base, given
+    ``anchor``, the map's value at base * direction."""
+    field = polymap.field
     restrictions = [
         c.restrict_to_line(direction) - v for c, v in zip(polymap.components, anchor)
     ]
@@ -130,8 +137,9 @@ def line_restriction(polymap: PolyMap, b: Sequence, base, degrees=None) -> LineD
     return LineData(b=tuple(direction), base=base, degrees=degrees, C=matrix)
 
 
-def _check_hypotheses(field, values: list, degrees: tuple, images, support=None) -> None:
-    """Raise PreconditionFailed unless the collinear hypotheses hold.
+def _check_hypotheses(field, values: list, degrees: tuple, images, support=None):
+    """Raise PreconditionFailed unless the collinear hypotheses hold, and
+    return the common image (None when there are no images).
 
     Checked in this order: the degree list has length r + 1 for r =
     len(values) and is strictly increasing; when the map's degree
@@ -155,10 +163,12 @@ def _check_hypotheses(field, values: list, degrees: tuple, images, support=None)
             raise PreconditionFailed(
                 f"map has term degrees {sorted(support)} outside the list {degrees}"
             )
-    if len(set(images)) > 1:
+    distinct = set(images)
+    if len(distinct) > 1:
         raise PreconditionFailed("the map takes different values at the given points")
     if generalized_vandermonde(field, values, degrees[:r]).rank() != r:
         raise PreconditionFailed("the generalized Vandermonde matrix does not have full rank")
+    return next(iter(distinct), None)
 
 
 def verify_coefficient_rank(line: LineData, params: Sequence) -> bool:
@@ -213,16 +223,18 @@ def find_rank_drop(polymap: PolyMap, b: Sequence, params: Sequence, degrees: Seq
         raise PreconditionFailed("the parameter list must not be empty")
     degrees = tuple(degrees)
     images = (polymap.evaluate([a * x for x in direction]) for a in values)
-    _check_hypotheses(field, values, degrees, images, polymap.degree_support())
+    # every image equals F(values[0] * b), the anchor of the restriction
+    anchor = _check_hypotheses(field, values, degrees, images, polymap.degree_support())
 
-    line = line_restriction(polymap, direction, values[0], degrees)
+    line = _line_data(polymap, direction, values[0], anchor, degrees)
     derivatives = [line.component(i).derivative() for i in range(line.C.nrows)]
     pivot = next((h for h in derivatives if not h.is_zero()), None)
     if pivot is None:
         return RankDropResult(value=field.zero, derivative=UniPoly.zero(field))
     root = _smallest_root(field, pivot)
     if root is not None:
-        _check_annihilation(polymap.jacobian(), [root * x for x in direction], direction)
+        point = _coerce_point(field, [root * x for x in direction])
+        _check_annihilation(polymap.jacobian(), point, _coerce_point(field, direction))
     return RankDropResult(value=root, derivative=pivot)
 
 
@@ -250,11 +262,21 @@ def _smallest_root(field, poly: UniPoly, shift: int = 0):
 
 def _check_annihilation(jacobian: PolyMatrix, point: list, direction: list) -> None:
     """Raise TheoremViolation unless the Jacobian at the point kills the
-    direction (the conclusion at a root of the restricted derivative)."""
-    if any(jacobian.evaluate(point).matvec(direction)):
-        raise TheoremViolation(
-            "restricted Jacobian does not annihilate the direction at the root"
-        )
+    direction (the conclusion at a root of the restricted derivative).
+
+    ``point`` and ``direction`` are in the form ``_coerce_point`` gives, int
+    residues over F_p, and J b is summed on those without a field element.
+    """
+    p = jacobian.field.characteristic
+    for row in jacobian.grid:
+        acc = 0
+        for entry, d in zip(row, direction):
+            if d:
+                acc += sum(_term_values(entry, point, p)) * d
+        if acc % p if p else acc:
+            raise TheoremViolation(
+                "restricted Jacobian does not annihilate the direction at the root"
+            )
 
 
 def _line_derivative(polymap: PolyMap, base: tuple, b: tuple) -> UniPoly:
@@ -446,12 +468,23 @@ def collision_search(polymap: PolyMap, r: int, budget: Optional[int] = None) -> 
 
     Directions have their first nonzero (pivot) coordinate normalized to 1,
     so the lexicographically smallest point of a line is its canonical
-    point, the one whose pivot coordinate is 0.  Each line is built once, as
-    a pair (canonical point, direction), and the pairs are visited sorted by
-    (base, b), so the output order is deterministic.  One witness is emitted
-    per (line, image) pair whose image is attained at least r times, normalized
-    by translating the first collision point to the origin; parameters are
-    the point offsets along the line and the degree list is 0..r.
+    point, the one whose pivot coordinate is 0.  Each of the p^(n-1) *
+    (p^n - 1) / (p - 1) lines is built once, as a canonical pair (base, b):
+    a base is paired only with the directions whose pivot is one of its zero
+    coordinates (one sorted direction list per zero pattern), and the pairs
+    are visited sorted by (base, b), so the output order is deterministic.
+    One witness is emitted per (line, image) pair whose image is attained at
+    least r times, normalized by translating the first collision point to
+    the origin; parameters are the point offsets along the line and the
+    degree list is 0..r.
+
+    The scan runs on ints.  A point is its index in
+    ``itertools.product(range(p), repeat=n)`` order, and the map is
+    evaluated once per point on int residues, its image stored as the index
+    of the image point.  A line's point indices are sums of one precomputed
+    list per moving coordinate; a line whose p images are pairwise distinct
+    holds no witness and is skipped.  Field elements are built only for the
+    fields of an emitted witness.
 
     A witness's ``rank_drop_param`` is
     ``find_rank_drop(F.translate(origin), b, params, 0..r).value``, or None
@@ -465,8 +498,8 @@ def collision_search(polymap: PolyMap, r: int, budget: Optional[int] = None) -> 
     is H_i'(t0 + s).  So the value is 0 when every H_i' is zero, else the
     smallest s in 0..p-1 with H_i'(t0 + s) = 0 for the first nonzero H_i',
     else None.  The Jacobian is built once per call, and a found root must
-    pass the annihilation check of ``find_rank_drop`` or TheoremViolation is
-    raised.
+    pass the annihilation check of ``find_rank_drop`` (J b = 0, summed on
+    residues) or TheoremViolation is raised.
 
     When the witness satisfies the unit-determinant obstruction's hypotheses
     (r at least the map degree, r at least 2, characteristic not dividing r)
@@ -487,15 +520,34 @@ def collision_search(polymap: PolyMap, r: int, budget: Optional[int] = None) -> 
     if required > budget:
         raise BudgetExceeded(budget, required)
     points = list(itertools.product(range(p), repeat=n))
-    # images as residue tuples, so grouping a line's points hashes ints
-    table = {pt: tuple(v.v for v in polymap.evaluate(pt)) for pt in points}
-    # (direction, pivot, direction in the field): the first nonzero
-    # coordinate of the direction is 1
-    directions = [
-        (b, b.index(1), tuple(field.coerce(c) for c in b))
-        for b in points
-        if next(filter(None, b), 0) == 1
-    ]
+    # the point (x_1, ..., x_n) has index sum x_k * weights[k]
+    weights = [p ** (n - 1 - k) for k in range(n)]
+    images = []
+    for pt in points:
+        image = 0
+        for c in polymap.components:
+            image = image * p + sum(_term_values(c, pt, p)) % p
+        images.append(image)
+    # cycles[(k, c)][s] = (c * s mod p) * weights[k] for s < 2p, so along
+    # t -> v + c t coordinate k contributes cycles[(k, c)][u + t] for
+    # u = v / c, a slice of one list
+    cycles = {}
+    # (pivot, b, [(k, 1 / b_k, cycle) for each nonzero b_k]) for each b
+    # whose first nonzero (pivot) coordinate is 1, in sorted order
+    directions = []
+    for b in points:
+        pivot = next((k for k, c in enumerate(b) if c), None)
+        if pivot is None or b[pivot] != 1:
+            continue
+        moving = []
+        for k, c in enumerate(b):
+            if c:
+                cycle = cycles.get((k, c))
+                if cycle is None:
+                    cycle = [(c * s % p) * weights[k] for s in range(2 * p)]
+                    cycles[(k, c)] = cycle
+                moving.append((k, pow(c, -1, p), cycle))
+        directions.append((pivot, b, moving))
     det_nonconstant = not polymap.is_keller()
     map_degree = polymap.degree()
     degrees = tuple(range(r + 1))
@@ -503,22 +555,38 @@ def collision_search(polymap: PolyMap, r: int, budget: Optional[int] = None) -> 
     jacobian = polymap.jacobian() if map_degree <= r else None
     witnesses = []
     ranks = {}  # offsets -> rank of their Vandermonde matrix, ranked once per call
-    for base in points:
-        for b, pivot, direction in directions:
-            if base[pivot]:
+    by_zeros = {}  # zero coordinates of a base -> its canonical directions
+    for index, base in enumerate(points):
+        zeros = tuple(k for k, c in enumerate(base) if not c)
+        paired = by_zeros.get(zeros)
+        if paired is None:
+            paired = [(b, moving) for pivot, b, moving in directions if pivot in zeros]
+            by_zeros[zeros] = paired
+        for b, moving in paired:
+            # the line's point indices: the fixed coordinates' part plus one
+            # slice per moving coordinate
+            fixed = index
+            slices = []
+            for k, inverse, cycle in moving:
+                v = base[k]
+                fixed -= v * weights[k]
+                u = v * inverse % p
+                slices.append(cycle[u : u + p])
+            keys = [images[fixed + s] for s in map(sum, zip(*slices))]
+            if len(set(keys)) == p:
                 continue
-            line_pts = [tuple((base[k] + t * b[k]) % p for k in range(n)) for t in range(p)]
             groups: dict = {}
-            for t, pt in enumerate(line_pts):
-                groups.setdefault(table[pt], []).append(t)
+            for t, key in enumerate(keys):
+                groups.setdefault(key, []).append(t)
             derivative = None  # built at the line's first witness that needs it
             for ts in groups.values():
                 if len(ts) < r:
                     continue
                 sel = ts[:r]
-                origin = tuple(field.coerce(c) for c in line_pts[sel[0]])
-                offsets = tuple(t - sel[0] for t in sel)
-                params = tuple(field.coerce(t) for t in offsets)
+                t0 = sel[0]
+                origin = [(c + t0 * x) % p for c, x in zip(base, b)]
+                offsets = tuple(t - t0 for t in sel)
+                params = tuple(Fp(t, p) for t in offsets)
                 rank = ranks.get(offsets)
                 if rank is None:
                     rank = generalized_vandermonde(field, params, degrees[:r]).rank()
@@ -530,13 +598,14 @@ def collision_search(polymap: PolyMap, r: int, budget: Optional[int] = None) -> 
                     if derivative.is_zero():
                         drop_value = field.zero
                     else:
-                        drop_value = _smallest_root(field, derivative, sel[0])
+                        drop_value = _smallest_root(field, derivative, t0)
                         if drop_value is not None:
-                            point = [c + drop_value * x for c, x in zip(origin, direction)]
-                            _check_annihilation(jacobian, point, direction)
+                            s = drop_value.v
+                            point = [(c + s * x) % p for c, x in zip(origin, b)]
+                            _check_annihilation(jacobian, point, b)
                 witness = CollisionWitness(
-                    b=direction,
-                    base=origin,
+                    b=tuple(Fp(c, p) for c in b),
+                    base=tuple(Fp(c, p) for c in origin),
                     params=params,
                     degrees=degrees,
                     vandermonde_rank=rank,

@@ -19,7 +19,8 @@ multiplication):
 Note the grammar binds unary minus tighter than "^": ``-x1^2`` is
 ``(-x1)^2``.  The renderer never emits that shape, so parse(render(p)) == p.
 Parentheses and unary minus nest at most ``MAX_NESTING`` levels deep; a
-deeper expression is a ParseError.
+deeper expression is a ParseError.  So is a power ``base^e`` whose result
+could have more than ``MAX_POWER_TERMS`` terms, bounded before expanding.
 
 Products (``*``, ``**``) and substitution run on a packed integer kernel
 (packed monomials after Monagan & Pearce, ISSAC 2009).  Each call converts
@@ -55,7 +56,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 from typing import Sequence
 
 from .errors import (
@@ -679,6 +680,9 @@ def _divisors(n: int) -> list:
 # the parser recurses a few frames per level of "(" or unary "-", so the
 # depth is bounded well below Python's recursion limit
 MAX_NESTING = 100
+# a power base^e is expanded only when a bound on its term count is at most
+# this; (x1 + x2 + x3 + x4 + 1)^19 has 8855 terms, ^20 has 10626
+MAX_POWER_TERMS = 10_000
 
 
 class _Parser:
@@ -741,9 +745,21 @@ class _Parser:
     def factor(self) -> MPoly:
         node = self.base()
         if self.peek() == "^":
+            mark = self.pos
             self.pos += 1
             self.skip_ws()
-            return node ** self.digits()
+            e = self.digits()
+            if e > 1:
+                # monomials of degree at most deg * e, and multisets of e terms
+                bound = min(
+                    comb(self.nvars + node.degree() * e, self.nvars),
+                    comb(len(node.terms) + e - 1, e),
+                )
+                if bound > MAX_POWER_TERMS:
+                    self.fail(
+                        f"power may expand to {bound} terms, more than {MAX_POWER_TERMS}", mark
+                    )
+            return node**e
         return node
 
     def base(self) -> MPoly:

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from kellerlab import Matrix
 from kellerlab.cli import main
 from kellerlab.errors import TheoremViolation
-from kellerlab.mpoly import MAX_NESTING
+from kellerlab.mpoly import MAX_NESTING, MAX_POWER_TERMS
 
 from conftest import doubled_inverse
 
@@ -333,6 +333,17 @@ class TestErrorPaths:
         path = write(tmp_path, "map.json", {"field": "Q", "nvars": 1, "polys": [text]})
         code, out, _ = run(capsys, ["keller", path])
         assert code == 0 and json.loads(out)["det"] == "1"
+
+    def test_unbounded_power_is_parse_error(self, tmp_path, capsys):
+        polys = ["(x1+x2+x3+x4+1)^40", "x2", "x3", "x4"]
+        path = write(tmp_path, "map.json", {"field": "Q", "nvars": 4, "polys": polys})
+        code, out, err = run(capsys, ["keller", path])
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "ParseError"
+        assert str(MAX_POWER_TERMS) in payload["message"]
 
     @pytest.mark.parametrize(
         "raw", [b"[" * 100_000, b"\xff\xfe{}", b'{"field": "\xc3"}'], ids=["deep-json", "bad-utf8", "bad-utf8-in-string"]

@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -215,6 +216,27 @@ class TestFindRankDrop:
         F = pmap(QQ, 1, "x1^4 - x1")
         with pytest.raises(PreconditionFailed):
             find_rank_drop(F, [1], [0, 1], [0, 1, 3])
+
+    def test_evaluates_the_map_once_per_parameter(self, monkeypatch):
+        calls = []
+        evaluate = PolyMap.evaluate
+
+        def counting(self, point):
+            calls.append(tuple(point))
+            return evaluate(self, point)
+
+        monkeypatch.setattr(PolyMap, "evaluate", counting)
+        cases = [
+            (pmap(F5, 2, "x1^2", "x2"), [1, 4], Fp(0, 5)),  # a root
+            (pmap(F5, 2, "x1^2", "x2"), [4, 1], Fp(0, 5)),
+            (pmap(F5, 1, "x1^3 - x1"), [0, 1, 4], None),  # 3t^2 - 1 has no root
+        ]
+        for F, params, value in cases:
+            calls.clear()
+            b = [1] + [0] * (F.n - 1)
+            result = find_rank_drop(F, b, params, list(range(len(params) + 1)))
+            assert result.value == value
+            assert len(calls) == len(params)
 
     def test_found_parameter_always_drops_rank(self):
         rng = rng_for("rank-drop-prop")
@@ -442,8 +464,13 @@ class TestCollisionSearch:
     def test_matches_every_base_loop_in_order(self, field, n):
         rng = rng_for(f"collide-order-{field.p}-{n}")
         found = 0
-        for map_degree in (2, 3):
-            for r in (2, 3):  # includes r >= map degree
+        map_degrees = (2, 3)
+        if n == 3 and field.p <= 3:
+            map_degrees += (field.p + 1, field.p + 2)  # degree above p
+        for map_degree in map_degrees:
+            # includes r >= map degree and r > p, where a line of p points
+            # cannot hold r of them
+            for r in sorted({2, 3, field.p + 1}):
                 while True:
                     comps = [random_mpoly(rng, field, n, max_deg=map_degree) for _ in range(n)]
                     F = PolyMap(field, n, comps)
@@ -451,8 +478,42 @@ class TestCollisionSearch:
                         break
                 witnesses = collision_search(F, r)
                 assert witnesses == naive_collision_search(F, r)
+                if r > field.p:
+                    assert witnesses == []
                 found += len(witnesses)
         assert found
+
+    @pytest.mark.parametrize(
+        "field,texts,r",
+        [
+            (F5, ("x1^2 + x2", "x1*x2"), 2),
+            (F3, ("x1^3 + x2*x3", "x2^2 + x1", "x3 + x1*x2"), 3),
+            (F7, ("x1^3", "x2"), 2),
+        ],
+    )
+    def test_evaluates_each_point_once_on_residues(self, monkeypatch, field, texts, r):
+        F = pmap(field, len(texts), *texts)
+        expected = naive_collision_search(F, r)
+
+        def refused(*args):
+            raise AssertionError("collision_search built field elements to evaluate")
+
+        monkeypatch.setattr(PolyMap, "evaluate", refused)
+        monkeypatch.setattr(PolyMatrix, "evaluate", refused)
+        monkeypatch.setattr(Matrix, "matvec", refused)
+        calls = []
+        term_values = collinear._term_values
+
+        def counting(poly, point, p):
+            calls.append((poly, tuple(point)))
+            return term_values(poly, point, p)
+
+        monkeypatch.setattr(collinear, "_term_values", counting)
+        witnesses = collision_search(F, r)
+        assert witnesses == expected
+        points = list(itertools.product(range(field.p), repeat=F.n))
+        for component in F.components:
+            assert [pt for poly, pt in calls if poly is component] == points
 
     def test_never_translates(self, monkeypatch):
         F = pmap(F3, 2, "x1^2", "x2^2")

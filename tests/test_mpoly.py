@@ -15,6 +15,7 @@ from kellerlab.errors import (
     FieldMismatch,
     ParseError,
 )
+from kellerlab.mpoly import MAX_POWER_TERMS
 
 from conftest import (
     P,
@@ -667,6 +668,23 @@ class TestParse:
     def test_exponent_requires_digits(self):
         with pytest.raises(ParseError):
             parse("x1^-2", 1, QQ)
+
+    def test_power_beyond_the_term_bound_is_refused_before_expanding(self):
+        # (x1 + x2 + x3 + x4 + 1)^40 has C(44, 4) = 135751 terms
+        with pytest.raises(ParseError, match=f"135751 terms, more than {MAX_POWER_TERMS}") as err:
+            parse("(x1+x2+x3+x4+1)^40", 4, QQ)
+        assert err.value.offset == 16  # the '^'
+
+    def test_power_bound_is_the_smaller_count(self):
+        # one term: one monomial, however high the degree
+        assert parse("(x1*x2*x3)^5000", 3, QQ) == MPoly(QQ, 3, {(5000, 5000, 5000): 1})
+        # ten terms in one variable: at most 9 * 100 + 1 monomials
+        base = " + ".join(f"x1^{k}" for k in range(1, 10))
+        power = parse(f"(1 + {base})^100", 1, F101)
+        assert power.degree() == 900 and len(power.terms) <= 901
+        assert parse("(x1 + x2)^2", 2, QQ) == P("x1^2 + 2*x1*x2 + x2^2", 2, QQ)
+        assert parse("0^0", 1, QQ) == P("1", 1, QQ)
+        assert parse("(x1 - x1)^3", 1, QQ).is_zero()
 
 
 class TestRender:
