@@ -177,7 +177,7 @@ def _cmd_jacobian(args):
 def _cmd_keller(args):
     polymap, raw = load_mapfile(args.mapfile)
     det = polymap.det_jacobian()
-    return {"det": render(det), "keller": polymap.is_keller()}, raw
+    return {"det": render(det), "keller": not det.is_zero() and det.is_constant()}, raw
 
 
 def _cmd_invert(args):

@@ -142,12 +142,12 @@ def _check_hypotheses(field, values: list, degrees: tuple, images, support=None)
     return the common image (None when there are no images).
 
     Checked in this order: the degree list has length r + 1 for r =
-    len(values) and is strictly increasing; when the map's degree
-    ``support`` is given, the list contains 0 and covers it; no two of the
-    ``images`` differ (an iterable, read only once the degree list has
-    passed; an empty one passes); and the generalized Vandermonde matrix of
-    the values against the first r degrees has rank r, which also makes the
-    values pairwise distinct.
+    len(values), is strictly increasing and is nonnegative; when the map's
+    degree ``support`` is given, the list contains 0 and covers it; no two
+    of the ``images`` differ (an iterable, read only once the degree list
+    has passed; an empty one passes); and the generalized Vandermonde matrix
+    of the values against the first r degrees has rank r, which also makes
+    the values pairwise distinct.
     """
     r = len(values)
     if len(degrees) != r + 1:
@@ -156,6 +156,8 @@ def _check_hypotheses(field, values: list, degrees: tuple, images, support=None)
         )
     if any(d2 <= d1 for d1, d2 in zip(degrees, degrees[1:])):
         raise PreconditionFailed("the degree list must be strictly increasing")
+    if degrees[0] < 0:
+        raise PreconditionFailed("the degree list must be nonnegative")
     if support is not None:
         if 0 not in degrees:
             raise PreconditionFailed("the degree list must contain 0")
@@ -175,11 +177,11 @@ def verify_coefficient_rank(line: LineData, params: Sequence) -> bool:
     """Check: rk C <= 1 and, when C is nonzero, its last column is nonzero.
 
     Hypotheses (each checked, with a named failure): the degree list is
-    strictly increasing of length r + 1, G vanishes at every parameter, and
-    the generalized Vandermonde matrix of the parameters against the first r
-    degrees has full rank r.  Under those hypotheses the conclusion is a
-    theorem; a failing conclusion therefore raises TheoremViolation instead
-    of returning False.
+    nonnegative and strictly increasing of length r + 1, G vanishes at every
+    parameter, and the generalized Vandermonde matrix of the parameters
+    against the first r degrees has full rank r.  Under those hypotheses the
+    conclusion is a theorem; a failing conclusion therefore raises
+    TheoremViolation instead of returning False.
     """
     field = line.C.field
     values = [field.coerce(a) for a in params]
@@ -202,10 +204,10 @@ def find_rank_drop(polymap: PolyMap, b: Sequence, params: Sequence, degrees: Seq
     """Search for a scalar a with (jac F) at a*b annihilating b.
 
     Hypotheses (checked): the map takes equal values at all params[i] * b,
-    its term degrees lie in the given strictly increasing list of length
-    r + 1 containing 0, and the parameters, of which there is at least one,
-    have a generalized Vandermonde matrix of rank r against the first r
-    degrees.
+    its term degrees lie in the given nonnegative, strictly increasing list
+    of length r + 1 containing 0, and the parameters, of which there is at
+    least one, have a generalized Vandermonde matrix of rank r against the
+    first r degrees.
 
     The root search follows the derivative of the first nonvanishing
     component of the line restriction: exhaustively over F_p (smallest root
@@ -305,14 +307,14 @@ def verify_collision_obstruction(polymap: PolyMap, witness: CollisionWitness) ->
     """Check that det jac F is not a nonzero constant, given a valid witness.
 
     Hypotheses (checked, in this order): the map is square, the direction is
-    nonzero, the witness degree list is strictly increasing of length r + 1,
-    contains 0 and covers the term degrees of the map translated to the
-    witness base, the translated map takes equal values at the params[i] * b,
-    the generalized Vandermonde matrix of the parameters against the first r
-    degrees has full rank (so the parameters are distinct), and the top
-    degree is neither 1 nor divisible by the characteristic.  Under these
-    the conclusion is a theorem, so a constant nonzero determinant raises
-    TheoremViolation.
+    nonzero, the witness degree list is nonnegative and strictly increasing
+    of length r + 1, contains 0 and covers the term degrees of the map
+    translated to the witness base, the translated map takes equal values at
+    the params[i] * b, the generalized Vandermonde matrix of the parameters
+    against the first r degrees has full rank (so the parameters are
+    distinct), and the top degree is neither 1 nor divisible by the
+    characteristic.  Under these the conclusion is a theorem, so a constant
+    nonzero determinant raises TheoremViolation.
     """
     field = polymap.field
     if polymap.m != polymap.n:

@@ -19,8 +19,9 @@ multiplication):
 Note the grammar binds unary minus tighter than "^": ``-x1^2`` is
 ``(-x1)^2``.  The renderer never emits that shape, so parse(render(p)) == p.
 Parentheses and unary minus nest at most ``MAX_NESTING`` levels deep; a
-deeper expression is a ParseError.  So is a power ``base^e`` whose result
-could have more than ``MAX_POWER_TERMS`` terms, bounded before expanding.
+deeper expression is a ParseError.  So is a power ``base^e`` or a product
+``a*b`` whose result could have more than ``MAX_POWER_TERMS`` terms, bounded
+before expanding.
 
 Products (``*``, ``**``) and substitution run on a packed integer kernel
 (packed monomials after Monagan & Pearce, ISSAC 2009).  Each call converts
@@ -680,8 +681,9 @@ def _divisors(n: int) -> list:
 # the parser recurses a few frames per level of "(" or unary "-", so the
 # depth is bounded well below Python's recursion limit
 MAX_NESTING = 100
-# a power base^e is expanded only when a bound on its term count is at most
-# this; (x1 + x2 + x3 + x4 + 1)^19 has 8855 terms, ^20 has 10626
+# a power base^e or a product a*b is expanded only when a bound on its term
+# count is at most this; (x1 + x2 + x3 + x4 + 1)^19 has 8855 terms, ^20 has
+# 10626, and the product of two ^9 factors is bounded by 7315
 MAX_POWER_TERMS = 10_000
 
 
@@ -738,8 +740,17 @@ class _Parser:
     def term(self) -> MPoly:
         node = self.factor()
         while self.peek() == "*":
+            mark = self.pos
             self.pos += 1
-            node = node * self.factor()
+            other = self.factor()
+            # monomials of degree at most deg a + deg b, and pairs of terms
+            bound = min(
+                comb(self.nvars + node.degree() + other.degree(), self.nvars),
+                len(node.terms) * len(other.terms),
+            )
+            if bound > MAX_POWER_TERMS:
+                self.fail(f"product may expand to {bound} terms, more than {MAX_POWER_TERMS}", mark)
+            node = node * other
         return node
 
     def factor(self) -> MPoly:

@@ -11,6 +11,7 @@ from kellerlab import Matrix
 from kellerlab.cli import main
 from kellerlab.errors import TheoremViolation
 from kellerlab.mpoly import MAX_NESTING, MAX_POWER_TERMS
+from kellerlab.polymap import PolyMatrix
 
 from conftest import doubled_inverse
 
@@ -47,6 +48,15 @@ class TestKellerCommand:
         assert code == 0
         report = json.loads(out)
         assert report["keller"] is True and report["det"] == "1"
+
+    def test_computes_the_determinant_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        det = PolyMatrix.det
+        monkeypatch.setattr(PolyMatrix, "det", lambda self: calls.append(self) or det(self))
+        path = write(tmp_path, "map.json", QUADRATIC_3VAR)
+        code, out, _ = run(capsys, ["keller", path])
+        assert code == 0 and json.loads(out)["keller"] is False
+        assert len(calls) == 1
 
     def test_output_is_byte_deterministic(self, tmp_path, capsys):
         path = write(tmp_path, "map.json", QUADRATIC_3VAR)
@@ -184,6 +194,12 @@ class TestRankDropCommand:
                 '"the degree list must be strictly increasing"}',
             ),
             (
+                {"field": "Q", "nvars": 1, "polys": ["x1^2"]},
+                ["--dir=1", "--params=0,0", "--degrees=-1,0,2"],
+                '{"error": "PreconditionFailed", "exit_code": 2, "message": '
+                '"the degree list must be nonnegative"}',
+            ),
+            (
                 SQUARE_F5,
                 ["--dir", "1,0", "--params", "1,4", "--degrees", "1,2,3"],
                 '{"error": "PreconditionFailed", "exit_code": 2, "message": '
@@ -208,7 +224,7 @@ class TestRankDropCommand:
                 '"the generalized Vandermonde matrix does not have full rank"}',
             ),
         ],
-        ids=["zero-direction", "length", "increasing", "contains-0", "support", "values", "vandermonde"],
+        ids=["zero-direction", "length", "increasing", "nonnegative", "contains-0", "support", "values", "vandermonde"],
     )
     def test_failed_hypothesis_error_line(self, tmp_path, capsys, payload, flags, line):
         path = write(tmp_path, "map.json", payload)
@@ -344,6 +360,26 @@ class TestErrorPaths:
         payload = json.loads(lines[0])
         assert payload["error"] == "ParseError"
         assert str(MAX_POWER_TERMS) in payload["message"]
+
+    def test_unbounded_product_is_parse_error(self, tmp_path, capsys):
+        # each factor has C(23, 4) = 8855 terms, their product up to C(42, 4)
+        factor = "(x1+x2+x3+x4+1)^19"
+        polys = [f"{factor}*{factor}", "x2", "x3", "x4"]
+        path = write(tmp_path, "map.json", {"field": "Q", "nvars": 4, "polys": polys})
+        code, out, err = run(capsys, ["jacobian", path])
+        assert (code, out) == (1, "")
+        assert err == (
+            '{"error": "ParseError", "exit_code": 1, "message": "product may expand to '
+            f'111930 terms, more than {MAX_POWER_TERMS} (at position 19)"}}\n'
+        )
+
+    def test_product_within_the_term_bound_parses(self, tmp_path, capsys):
+        # bounded by C(22, 4) = 7315 terms
+        factor = "(x1+x2+x3+x4+1)^9"
+        polys = [f"{factor}*{factor}", "x2", "x3", "x4"]
+        path = write(tmp_path, "map.json", {"field": "Q", "nvars": 4, "polys": polys})
+        code, out, _ = run(capsys, ["keller", path])
+        assert code == 0 and json.loads(out)["keller"] is False
 
     @pytest.mark.parametrize(
         "raw", [b"[" * 100_000, b"\xff\xfe{}", b'{"field": "\xc3"}'], ids=["deep-json", "bad-utf8", "bad-utf8-in-string"]

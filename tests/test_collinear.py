@@ -198,6 +198,14 @@ class TestFindRankDrop:
         with pytest.raises(PreconditionFailed):
             find_rank_drop(F, [1], [0, 1], [0, 1, 2])
 
+    @pytest.mark.parametrize("params", [[0, 0], [1, -1]])
+    def test_negative_degree_rejected(self, params):
+        # at 0, 0 the Vandermonde matrix would take 0^-1; at 1, -1 every
+        # other hypothesis holds
+        F = pmap(QQ, 1, "x1^2")
+        with pytest.raises(PreconditionFailed, match="^the degree list must be nonnegative$"):
+            find_rank_drop(F, [1], params, [-1, 0, 2])
+
     def test_empty_parameter_list_rejected(self):
         F = pmap(QQ, 1, "3")
         with pytest.raises(PreconditionFailed, match="^the parameter list must not be empty$"):

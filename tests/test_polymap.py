@@ -125,6 +125,21 @@ class TestDetJacobian:
             sign = -sign
         assert det == oracle
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_dense_det_shares_minors_and_never_divides(self, n, monkeypatch):
+        # every minor on rows k..n-1 is built once: sum over m = 2..n of
+        # m * C(n, m) products, that is n * 2^(n-1) - n
+        rng = rng_for(f"dense-det-{n}")
+        x1 = MPoly.variable(QQ, 2, 0)
+        grid = [[x1**3 + random_mpoly(rng, QQ, 2, max_deg=2, max_terms=2) for _ in range(n)] for _ in range(n)]
+        calls = []
+        mul, exact_div = MPoly.__mul__, MPoly.exact_div
+        monkeypatch.setattr(MPoly, "__mul__", lambda a, b: calls.append("mul") or mul(a, b))
+        monkeypatch.setattr(MPoly, "exact_div", lambda a, b: calls.append("div") or exact_div(a, b))
+        PolyMatrix(QQ, 2, grid).det()
+        assert calls.count("div") == 0
+        assert calls.count("mul") <= n * 2 ** (n - 1) - n
+
 
 class TestKeller:
     def test_shear_is_keller(self):

@@ -120,12 +120,11 @@ def test_is_prime_near_10_to_18_is_fast():
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
-@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_det_jacobian(field, n):
-    # n = 5 takes the Bareiss path, smaller n the cofactor expansion; maps
-    # x_s(i) + h_i for a random permutation s have a nonzero determinant in
-    # general, and a first component free of x1 puts a zero at the first
-    # pivot, so Bareiss must swap rows
+    # maps x_s(i) + h_i for a random permutation s have a nonzero
+    # determinant in general, and a first component free of x1 puts a zero
+    # in the top row, where the expansion starts
     rng = rng_for(f"sympy-det-{field}-{n}")
     gens = sympy.symbols(f"x1:{n + 1}")
     xs = MPoly.variables(field, n)
