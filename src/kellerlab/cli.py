@@ -149,10 +149,6 @@ def _ints(text: str) -> list:
         raise ParseError(f"bad integer list {text!r}") from None
 
 
-def _render_scalar(field: Field, value) -> str:
-    return field.render(value)
-
-
 def _render_matrix(matrix: Matrix) -> list:
     return [[matrix.field.render(e) for e in row] for row in matrix.rows]
 
@@ -253,7 +249,7 @@ def _cmd_line_check(args):
     verdict = line_injectivity(polymap, point)
     pair = None
     if verdict.counterexample is not None:
-        pair = [_render_scalar(polymap.field, v) for v in verdict.counterexample]
+        pair = [polymap.field.render(v) for v in verdict.counterexample]
     return {
         "certified": verdict.certified,
         "counterexample": pair,
@@ -273,7 +269,7 @@ def _cmd_rank_drop(args):
     return {
         "derivative": result.derivative.render(),
         "found": result.found,
-        "value": _render_scalar(field, result.value) if result.found else None,
+        "value": field.render(result.value) if result.found else None,
     }, raw
 
 
@@ -297,13 +293,13 @@ def _cmd_collide(args):
     for w in witnesses:
         rendered.append(
             {
-                "b": [_render_scalar(field, v) for v in w.b],
-                "base": [_render_scalar(field, v) for v in w.base],
+                "b": [field.render(v) for v in w.b],
+                "base": [field.render(v) for v in w.base],
                 "degrees": list(w.degrees),
                 "det_jac_nonconstant": w.det_jac_nonconstant,
-                "params": [_render_scalar(field, v) for v in w.params],
+                "params": [field.render(v) for v in w.params],
                 "rank_drop_param": (
-                    _render_scalar(field, w.rank_drop_param)
+                    field.render(w.rank_drop_param)
                     if w.rank_drop_param is not None
                     else None
                 ),

@@ -109,13 +109,6 @@ def line_restriction(polymap: PolyMap, b: Sequence, base, degrees=None) -> LineD
         raise ZeroDirection("the line direction must be nonzero")
     base = field.coerce(base)
     anchor = polymap.evaluate([base * x for x in direction])
-    return _line_data(polymap, direction, base, anchor, degrees)
-
-
-def _line_data(polymap: PolyMap, direction: list, base, anchor: tuple, degrees) -> LineData:
-    """``line_restriction`` for a coerced nonzero direction and base, given
-    ``anchor``, the map's value at base * direction."""
-    field = polymap.field
     restrictions = [
         c.restrict_to_line(direction) - v for c, v in zip(polymap.components, anchor)
     ]
@@ -137,9 +130,8 @@ def _line_data(polymap: PolyMap, direction: list, base, anchor: tuple, degrees) 
     return LineData(b=tuple(direction), base=base, degrees=degrees, C=matrix)
 
 
-def _check_hypotheses(field, values: list, degrees: tuple, images, support=None):
-    """Raise PreconditionFailed unless the collinear hypotheses hold, and
-    return the common image (None when there are no images).
+def _check_hypotheses(field, values: list, degrees: tuple, images, support=None) -> None:
+    """Raise PreconditionFailed unless the collinear hypotheses hold.
 
     Checked in this order: the degree list has length r + 1 for r =
     len(values), is strictly increasing and is nonnegative; when the map's
@@ -165,12 +157,10 @@ def _check_hypotheses(field, values: list, degrees: tuple, images, support=None)
             raise PreconditionFailed(
                 f"map has term degrees {sorted(support)} outside the list {degrees}"
             )
-    distinct = set(images)
-    if len(distinct) > 1:
+    if len(set(images)) > 1:
         raise PreconditionFailed("the map takes different values at the given points")
     if generalized_vandermonde(field, values, degrees[:r]).rank() != r:
         raise PreconditionFailed("the generalized Vandermonde matrix does not have full rank")
-    return next(iter(distinct), None)
 
 
 def verify_coefficient_rank(line: LineData, params: Sequence) -> bool:
@@ -225,14 +215,12 @@ def find_rank_drop(polymap: PolyMap, b: Sequence, params: Sequence, degrees: Seq
         raise PreconditionFailed("the parameter list must not be empty")
     degrees = tuple(degrees)
     images = (polymap.evaluate([a * x for x in direction]) for a in values)
-    # every image equals F(values[0] * b), the anchor of the restriction
-    anchor = _check_hypotheses(field, values, degrees, images, polymap.degree_support())
+    _check_hypotheses(field, values, degrees, images, polymap.degree_support())
 
-    line = _line_data(polymap, direction, values[0], anchor, degrees)
-    derivatives = [line.component(i).derivative() for i in range(line.C.nrows)]
-    pivot = next((h for h in derivatives if not h.is_zero()), None)
-    if pivot is None:
-        return RankDropResult(value=field.zero, derivative=UniPoly.zero(field))
+    # the restriction's anchor F(values[0] * b) is a constant, which the
+    # derivative drops, and the degree list was checked to cover the support
+    derivatives = (c.restrict_to_line(direction).derivative() for c in polymap.components)
+    pivot = next((h for h in derivatives if not h.is_zero()), UniPoly.zero(field))
     root = _smallest_root(field, pivot)
     if root is not None:
         point = _coerce_point(field, [root * x for x in direction])
@@ -246,7 +234,8 @@ def _smallest_root(field, poly: UniPoly, shift: int = 0):
     Over F_p, s runs through 0..p-1, each tested by Horner's rule on int
     residues; only the root found becomes an ``Fp``.  Over Q the shift is
     always 0 and s is the first rational root in the canonical (|num|, den,
-    sign) order.
+    sign) order.  The zero polynomial vanishes everywhere and gives 0, first
+    in both orders.
     """
     if isinstance(field, PrimeField):
         p = field.p
@@ -258,6 +247,8 @@ def _smallest_root(field, poly: UniPoly, shift: int = 0):
             if not acc:
                 return field.coerce(s)
         return None
+    if poly.is_zero():
+        return field.zero
     roots = rational_roots(poly)
     return roots[0] if roots else None
 
@@ -492,16 +483,18 @@ def collision_search(polymap: PolyMap, r: int, budget: Optional[int] = None) -> 
     ``find_rank_drop(F.translate(origin), b, params, 0..r).value``, or None
     where that call's hypotheses fail, found without building the translated
     map.  Its support hypothesis holds iff deg F <= r (translation keeps the
-    top homogeneous part), its equal images hold by construction, and its
-    Vandermonde hypothesis is ``vandermonde_rank == r``.  When they hold, the
-    line's restriction H_i(t) = F_i(base + t b) is built once, by
-    substitution.  For a witness whose first point is base + t0 b, the
-    derivative that ``find_rank_drop`` searches, of s -> F_i(origin + s b),
-    is H_i'(t0 + s).  So the value is 0 when every H_i' is zero, else the
-    smallest s in 0..p-1 with H_i'(t0 + s) = 0 for the first nonzero H_i',
-    else None.  The Jacobian is built once per call, and a found root must
-    pass the annihilation check of ``find_rank_drop`` (J b = 0, summed on
-    residues) or TheoremViolation is raised.
+    top homogeneous part), and its equal images and its Vandermonde
+    hypothesis hold by construction: r distinct offsets t_i against the
+    degrees 0..r-1 give the determinant prod (t_j - t_i) != 0, so every
+    ``vandermonde_rank`` is r.  When deg F <= r, the line's restriction
+    H_i(t) = F_i(base + t b) is built once, by substitution.  For a witness
+    whose first point is base + t0 b, the derivative that ``find_rank_drop``
+    searches, of s -> F_i(origin + s b), is H_i'(t0 + s).  So the value is 0
+    when every H_i' is zero, else the smallest s in 0..p-1 with H_i'(t0 + s)
+    = 0 for the first nonzero H_i', else None.  The Jacobian is built once
+    per call, and a found value must pass the annihilation check of
+    ``find_rank_drop`` (J b = 0, summed on residues) or TheoremViolation is
+    raised.
 
     When the witness satisfies the unit-determinant obstruction's hypotheses
     (r at least the map degree, r at least 2, characteristic not dividing r)
@@ -556,7 +549,6 @@ def collision_search(polymap: PolyMap, r: int, budget: Optional[int] = None) -> 
     # the translated map's term degrees lie in 0..r iff the map's do
     jacobian = polymap.jacobian() if map_degree <= r else None
     witnesses = []
-    ranks = {}  # offsets -> rank of their Vandermonde matrix, ranked once per call
     by_zeros = {}  # zero coordinates of a base -> its canonical directions
     for index, base in enumerate(points):
         zeros = tuple(k for k, c in enumerate(base) if not c)
@@ -587,30 +579,22 @@ def collision_search(polymap: PolyMap, r: int, budget: Optional[int] = None) -> 
                 sel = ts[:r]
                 t0 = sel[0]
                 origin = [(c + t0 * x) % p for c, x in zip(base, b)]
-                offsets = tuple(t - t0 for t in sel)
-                params = tuple(Fp(t, p) for t in offsets)
-                rank = ranks.get(offsets)
-                if rank is None:
-                    rank = generalized_vandermonde(field, params, degrees[:r]).rank()
-                    ranks[offsets] = rank
+                params = tuple(Fp(t - t0, p) for t in sel)
                 drop_value = None
-                if jacobian is not None and rank == r:
+                if jacobian is not None:
                     if derivative is None:
                         derivative = _line_derivative(polymap, base, b)
-                    if derivative.is_zero():
-                        drop_value = field.zero
-                    else:
-                        drop_value = _smallest_root(field, derivative, t0)
-                        if drop_value is not None:
-                            s = drop_value.v
-                            point = [(c + s * x) % p for c, x in zip(origin, b)]
-                            _check_annihilation(jacobian, point, b)
+                    drop_value = _smallest_root(field, derivative, t0)
+                    if drop_value is not None:
+                        s = drop_value.v
+                        point = [(c + s * x) % p for c, x in zip(origin, b)]
+                        _check_annihilation(jacobian, point, b)
                 witness = CollisionWitness(
                     b=tuple(Fp(c, p) for c in b),
                     base=tuple(Fp(c, p) for c in origin),
                     params=params,
                     degrees=degrees,
-                    vandermonde_rank=rank,
+                    vandermonde_rank=r,
                     rank_drop_param=drop_value,
                     det_jac_nonconstant=det_nonconstant,
                 )

@@ -260,18 +260,23 @@ class PrimeField(Field):
 
 
 def parse_scalar(text: str, field: Field):
-    """Parse a scalar literal ``[-]int[/posint]`` into a field element."""
+    """Parse a scalar literal ``[-]int[/posint]``, in the ASCII digits 0-9,
+    into a field element."""
     s = text.strip()
     neg = s.startswith("-")
     if neg:
         s = s[1:]
     num_str, _, den_str = s.partition("/")
-    if not num_str.isdigit() or (den_str and not den_str.isdigit()):
+    if not s.isascii() or not num_str.isdigit() or (den_str and not den_str.isdigit()):
         raise ParseError(f"bad scalar literal {text!r}")
-    den = int(den_str) if den_str else 1
+    try:
+        den = int(den_str) if den_str else 1
+        num = int(num_str)
+    except ValueError:  # longer than the interpreter converts
+        digits = max(len(num_str), len(den_str))
+        raise ParseError(f"bad scalar literal: {digits} digits are too long to convert") from None
     if den == 0:
         raise ParseError(f"bad scalar literal {text!r}: denominator must be positive")
-    num = int(num_str)
     return field.from_literal(-num if neg else num, den)
 
 

@@ -16,6 +16,9 @@ multiplication):
     rational := int ("/" posint)?
     var      := "x" posint            # x1 is the first variable
 
+Digits are the ASCII 0-9 only; a digit run longer than ``int()`` converts
+(the interpreter's limit) is a ParseError at the literal's offset.
+
 Note the grammar binds unary minus tighter than "^": ``-x1^2`` is
 ``(-x1)^2``.  The renderer never emits that shape, so parse(render(p)) == p.
 Parentheses and unary minus nest at most ``MAX_NESTING`` levels deep; a
@@ -716,13 +719,21 @@ class _Parser:
         self.skip_ws()
         return self.text[self.pos] if self.pos < self.end else ""
 
+    def at_digit(self) -> bool:
+        """Whether the next character is one of the ASCII digits 0-9."""
+        c = self.text[self.pos : self.pos + 1]
+        return c.isascii() and c.isdigit()
+
     def digits(self) -> int:
         start = self.pos
-        while self.pos < self.end and self.text[self.pos].isdigit():
+        while self.at_digit():
             self.pos += 1
         if start == self.pos:
             self.fail("expected digits")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # longer than the interpreter converts
+            self.fail(f"integer literal of {self.pos - start} digits is too long to convert", start)
 
     def expr(self) -> MPoly:
         node = self.term()
@@ -788,7 +799,7 @@ class _Parser:
         if c == "x":
             mark = self.pos
             self.pos += 1
-            if self.pos >= self.end or not self.text[self.pos].isdigit():
+            if not self.at_digit():
                 self.fail("expected a variable index after 'x'")
             index = self.digits()
             if index == 0:
@@ -798,7 +809,7 @@ class _Parser:
                     f"x{index} exceeds the declared {self.nvars} variables", offset=mark + 1
                 )
             return MPoly.variable(self.field, self.nvars, index - 1)
-        if c.isdigit():
+        if self.at_digit():
             num = self.digits()
             den = 1
             if self.peek() == "/":

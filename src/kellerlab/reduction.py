@@ -145,25 +145,14 @@ def degree_bound_report(polymap: PolyMap) -> DegreeBoundReport:
     bound = d**r
     gabber = d ** (n - 1) if n > 0 else 1
     note = CHAR_P_NOTE if field.characteristic else None
-    first = formal_inverse(polymap, max_deg=max(1, bound))
-    if first.is_polynomial:
-        actual = first.inverse_degree
-        return DegreeBoundReport(
-            n=n,
-            d=d,
-            r=r,
-            bound=bound,
-            gabber_bound=gabber,
-            actual_inverse_degree=actual,
-            satisfied=actual <= bound,
-            escalated=False,
-            char_p_note=note,
-        )
-    second = formal_inverse(polymap, max_deg=max(1, gabber))
-    if not second.is_polynomial:
-        raise NotInvertibleUpToBound(f"no polynomial inverse up to degree {max(1, gabber)}")
-    actual = second.inverse_degree
-    if field.characteristic == 0:
+    result = formal_inverse(polymap, max_deg=max(1, bound))
+    escalated = not result.is_polynomial
+    if escalated:
+        result = formal_inverse(polymap, max_deg=max(1, gabber))
+        if not result.is_polynomial:
+            raise NotInvertibleUpToBound(f"no polynomial inverse up to degree {max(1, gabber)}")
+    actual = result.inverse_degree
+    if escalated and field.characteristic == 0:
         raise TheoremViolation(
             f"inverse degree {actual} exceeds the d^r bound {bound} over a "
             "characteristic-zero field"
@@ -176,6 +165,6 @@ def degree_bound_report(polymap: PolyMap) -> DegreeBoundReport:
         gabber_bound=gabber,
         actual_inverse_degree=actual,
         satisfied=actual <= bound,
-        escalated=True,
+        escalated=escalated,
         char_p_note=note,
     )

@@ -381,6 +381,51 @@ class TestErrorPaths:
         code, out, _ = run(capsys, ["keller", path])
         assert code == 0 and json.loads(out)["keller"] is False
 
+    # digits are ASCII 0-9 only, and a literal longer than CPython's default
+    # int conversion limit of 4300 digits is a parse error, not a traceback
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("x1 + \u00b2", "expected a number, variable, '(' or '-' (at position 6)"),
+            ("x\u00b9", "expected a variable index after 'x' (at position 2)"),
+            ("x1 + \u0663", "expected a number, variable, '(' or '-' (at position 6)"),
+            ("x1 + " + "7" * 5000, "integer literal of 5000 digits is too long to convert (at position 6)"),
+            ("x1^" + "2" * 5000, "integer literal of 5000 digits is too long to convert (at position 4)"),
+        ],
+        ids=["superscript-two", "superscript-index", "arabic-indic-three", "long-literal", "long-exponent"],
+    )
+    def test_bad_digits_in_a_map_are_parse_errors(self, tmp_path, capsys, text, message):
+        path = write(tmp_path, "map.json", {"field": "Q", "nvars": 1, "polys": [text]})
+        code, out, err = run(capsys, ["keller", path])
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": "ParseError", "exit_code": 1, "message": message}
+
+    @pytest.mark.parametrize(
+        "point,message",
+        [
+            ("\u00b2", "bad scalar literal '\u00b2'"),
+            ("\u0663", "bad scalar literal '\u0663'"),
+            ("7" * 5000, "bad scalar literal: 5000 digits are too long to convert"),
+            ("1/" + "7" * 5000, "bad scalar literal: 5000 digits are too long to convert"),
+        ],
+        ids=["superscript-two", "arabic-indic-three", "long-literal", "long-denominator"],
+    )
+    def test_bad_digits_in_a_point_are_parse_errors(self, tmp_path, capsys, point, message):
+        path = write(tmp_path, "map.json", {"field": "Q", "nvars": 1, "polys": ["x1^2"]})
+        code, out, err = run(capsys, ["line-check", path, f"--point={point}"])
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": "ParseError", "exit_code": 1, "message": message}
+
+    def test_literals_at_the_digit_limit_parse(self, tmp_path, capsys):
+        literal = "7" * 4300
+        path = write(tmp_path, "map.json", {"field": "Q", "nvars": 1, "polys": [f"x1 + {literal}"]})
+        code, out, _ = run(capsys, ["keller", path])
+        assert code == 0 and json.loads(out)["det"] == "1"
+        code, out, _ = run(capsys, ["line-check", path, f"--point={literal}"])
+        assert code == 0 and json.loads(out)["injective"] is True
+
     @pytest.mark.parametrize(
         "raw", [b"[" * 100_000, b"\xff\xfe{}", b'{"field": "\xc3"}'], ids=["deep-json", "bad-utf8", "bad-utf8-in-string"]
     )
@@ -451,7 +496,13 @@ TOKENS = [
 ]
 
 small_ints = st.sampled_from(["1", "2", "3", "2", "0", "-1", "x"])
-scalar_lists = st.lists(st.sampled_from(["0", "1", "2", "-1", "1/2", "2/0", "x", ""]), min_size=1, max_size=3)
+# the last three: a superscript digit, an Arabic-Indic digit, and one digit
+# past CPython's default int conversion limit
+scalar_lists = st.lists(
+    st.sampled_from(["0", "1", "2", "-1", "1/2", "2/0", "x", "", "\u00b2", "\u0663", "1" * 4301]),
+    min_size=1,
+    max_size=3,
+)
 int_lists = st.lists(st.sampled_from(["0", "1", "2", "3", "-1", "x"]), min_size=1, max_size=3)
 field_flags = st.sampled_from(["Q", "Fp:2", "Fp:3", "Fp:5", "Fp:4", "Fp:", "R"])
 argvs = st.one_of(
@@ -481,7 +532,7 @@ def poly_texts(n):
     )
     sums = st.lists(monomial, min_size=1, max_size=3).map(" + ".join)
     # one draw in four is short free text, mostly malformed (no '^')
-    return st.one_of(sums, sums, sums, st.text(alphabet="x0123+-*()/ ", max_size=8))
+    return st.one_of(sums, sums, sums, st.text(alphabet="x0123+-*()/ \u00b2\u0663", max_size=8))
 
 
 def square_maps(n):

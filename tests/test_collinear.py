@@ -11,6 +11,7 @@ from kellerlab import (
     Fp,
     LineData,
     Matrix,
+    MPoly,
     PolyMap,
     PolyMatrix,
     PrimeField,
@@ -22,6 +23,7 @@ from kellerlab import (
     generalized_vandermonde,
     line_injectivity,
     line_restriction,
+    rational_roots,
     verify_collision_obstruction,
 )
 from kellerlab.errors import (
@@ -162,6 +164,58 @@ class TestGenlmCheck:
                 assert verify_coefficient_rank(line, points) is True
 
 
+@st.composite
+def rank_drop_case(draw):
+    """A map over Q or F_2..F_7, a direction b and r distinct parameters
+    a_j for which the collinear hypotheses hold with the degrees 0..r: on
+    the line t -> t b each component is c + k (t - a_1)...(t - a_r), and in
+    two variables it may add a term that vanishes on the line."""
+    field = draw(st.sampled_from([QQ, F2, F3, F5, F7]))
+    p = field.characteristic
+    n = draw(st.integers(1, 2))
+    r = draw(st.integers(1, min(3, p or 3)))
+    lo, hi = (0, p - 1) if p else (-3, 3)
+    params = draw(st.lists(st.integers(lo, hi), min_size=r, max_size=r, unique=True))
+    b = [field.coerce(x) for x in draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))]
+    k = draw(st.integers(0, n - 1))
+    b[k] = field.coerce(draw(st.integers(1, p - 1) if p else st.integers(-2, 2).filter(bool)))
+    xs = MPoly.variables(field, n)
+    t = xs[k] * (field.one / b[k])  # equals t on the line
+    vanishing = MPoly.constant(field, n, 1)
+    for a in params:
+        vanishing = vanishing * (t - a)
+    small = st.integers(-2, 2)
+    components = []
+    for _ in range(n):
+        component = draw(small) + draw(small) * vanishing
+        if n == 2:
+            # b_k x_l - b_l x_k vanishes on the line; the power keeps deg <= r
+            power = xs[draw(st.integers(0, 1))] ** draw(st.integers(0, r - 1))
+            component = component + draw(small) * (xs[1 - k] * b[k] - xs[k] * b[1 - k]) * power
+        components.append(component)
+    return PolyMap(field, n, components), b, params
+
+
+def rank_drop_reference(F, b, params, degrees):
+    """The first nonzero derivative of a component of
+    ``line_restriction``, its smallest root by a scan over F_p or by
+    ``rational_roots`` over Q (0 when every derivative is zero), and which
+    of the three outcomes that is."""
+    field = F.field
+    line = line_restriction(F, b, params[0], degrees)
+    derivatives = (line.component(i).derivative() for i in range(F.m))
+    pivot = next((h for h in derivatives if not h.is_zero()), None)
+    if pivot is None:
+        return field.zero, UniPoly.zero(field), "zero derivative"
+    if field.characteristic:
+        roots = [field.coerce(s) for s in range(field.p) if not pivot.evaluate(s)]
+    else:
+        roots = rational_roots(pivot)
+    if not roots:
+        return None, pivot, "no root"
+    return roots[0], pivot, "root"
+
+
 class TestFindRankDrop:
     def test_worked_f5_witness(self):
         F = pmap(F5, 2, "x1^2", "x2")
@@ -262,6 +316,22 @@ class TestFindRankDrop:
             jac = F.jacobian().evaluate(point)
             assert jac.rank() < 2
         assert found > 0
+
+    def test_matches_the_line_restriction_reference(self):
+        outcomes = set()
+
+        @settings(max_examples=300, deadline=None, derandomize=True)
+        @given(case=rank_drop_case())
+        def check(case):
+            F, b, params = case
+            degrees = list(range(len(params) + 1))
+            value, derivative, outcome = rank_drop_reference(F, b, params, degrees)
+            result = find_rank_drop(F, b, params, degrees)
+            assert result.value == value and result.derivative == derivative
+            outcomes.add(outcome)
+
+        check()
+        assert outcomes == {"zero derivative", "root", "no root"}
 
 
 class TestVerifyGencr:
@@ -566,7 +636,9 @@ class TestCollisionSearch:
         assert witnesses == expected and len(witnesses) > 1
         assert len(calls) == builds
 
-    # one rank per distinct params tuple, however often the tuple repeats
+    # r distinct offsets against the degrees 0..r-1 give a nonzero
+    # Vandermonde determinant, so no Vandermonde matrix is built or ranked;
+    # the reference ranks every params tuple itself
     @pytest.mark.parametrize(
         "field,texts,r",
         [
@@ -575,7 +647,7 @@ class TestCollisionSearch:
             (F7, ("x1^3 + x2", "x2^3"), 3),
         ],
     )
-    def test_ranks_each_params_tuple_once(self, monkeypatch, field, texts, r):
+    def test_never_builds_a_vandermonde_matrix(self, monkeypatch, field, texts, r):
         F = pmap(field, 2, *texts)
         expected = naive_collision_search(F, r)
         calls = []
@@ -587,10 +659,9 @@ class TestCollisionSearch:
 
         monkeypatch.setattr(collinear, "generalized_vandermonde", counting)
         witnesses = collision_search(F, r)
-        assert witnesses == expected
-        distinct = {w.params for w in witnesses}
-        assert len(witnesses) > len(distinct)  # some params tuple repeats
-        assert len(calls) == len(distinct)
+        assert witnesses == expected and witnesses
+        assert all(w.vandermonde_rank == r for w in witnesses)
+        assert calls == []
 
     def test_matches_brute_force_oracle(self):
         # count (line, image) collision pairs directly from all point pairs
@@ -696,6 +767,8 @@ class TestSmallestRoot:
         poly = UniPoly(QQ, [-2, 1, 1])  # (t - 1)(t + 2)
         assert collinear._smallest_root(QQ, poly) == Fraction(1)
         assert collinear._smallest_root(QQ, UniPoly(QQ, [1, 0, 1])) is None
+        # the zero polynomial vanishes everywhere: 0 comes first
+        assert collinear._smallest_root(QQ, UniPoly.zero(QQ)) == Fraction(0)
 
 
 def transposed_jacobian(jacobian):

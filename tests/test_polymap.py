@@ -98,8 +98,8 @@ class TestDetJacobian:
         with pytest.raises(NonSquare):
             pmap(QQ, 2, "x1").det_jacobian()
 
-    def test_bareiss_path_matches_cofactor(self):
-        # 5x5 triangular-ish map exercises the fraction-free branch
+    def test_5x5_det_matches_first_row_expansion(self):
+        # a 5x5 map x + (random quadratic part); the seed name is historical
         rng = rng_for("bareiss")
         comps = []
         for i in range(5):

@@ -16,7 +16,14 @@ from kellerlab import (
     pair_reduction,
     power_linear,
 )
-from kellerlab.errors import InconsistentReduction, NotInvertibleUpToBound, NotNormalized
+import kellerlab.reduction as reduction
+from kellerlab.errors import (
+    InconsistentReduction,
+    NotInvertibleUpToBound,
+    NotNormalized,
+    TheoremViolation,
+)
+from kellerlab.inversion import VERDICT_NOT_UP_TO_BOUND
 from kellerlab.reduction import CHAR_P_NOTE
 
 from conftest import P, pmap, rng_for
@@ -193,3 +200,37 @@ class TestDegreeBoundReport:
     def test_not_invertible_propagates(self):
         with pytest.raises(NotInvertibleUpToBound):
             degree_bound_report(pmap(QQ, 1, "x1 + x1^3"))
+
+    @pytest.mark.parametrize(
+        "field,failing,outcome",
+        [
+            (F5, 1, "escalated"),
+            (QQ, 1, TheoremViolation),
+            (F5, 2, NotInvertibleUpToBound),
+            (QQ, 2, NotInvertibleUpToBound),  # checked before the theorem
+        ],
+    )
+    def test_escalation(self, monkeypatch, field, failing, outcome):
+        # fault injection: the first ``failing`` inversion attempts report
+        # no polynomial inverse, as if the d^r bound were too small
+        bounds = []
+        formal_inverse = reduction.formal_inverse
+
+        def failing_first(polymap, max_deg):
+            bounds.append(max_deg)
+            result = formal_inverse(polymap, max_deg=max_deg)
+            if len(bounds) <= failing:
+                return result._replace(verdict=VERDICT_NOT_UP_TO_BOUND)
+            return result
+
+        monkeypatch.setattr(reduction, "formal_inverse", failing_first)
+        F = pmap(field, 3, "x1", "x2 + x1^2", "x3 + x1*x2")
+        if outcome != "escalated":
+            with pytest.raises(outcome):
+                degree_bound_report(F)
+        else:
+            report = degree_bound_report(F)
+            assert report.escalated and report.satisfied
+            assert report.actual_inverse_degree == 3
+            assert report.char_p_note == CHAR_P_NOTE
+        assert bounds == [4, 4]
