@@ -30,7 +30,15 @@ from .errors import (
     PreconditionError,
     TheoremViolation,
 )
-from .field_linalg import Field, Matrix, PrimeField, QQ, generalized_vandermonde, parse_scalar
+from .field_linalg import (
+    Field,
+    Matrix,
+    PrimeField,
+    QQ,
+    generalized_vandermonde,
+    parse_scalar,
+    power_too_long,
+)
 from .mpoly import parse as parse_poly
 from .mpoly import render
 from .polymap import PolyMap, power_linear
@@ -88,12 +96,24 @@ def _field_to_json(field: Field):
     return "Q"
 
 
+def _int(text: str) -> int:
+    """``int(text)`` for ASCII text only: ``int()`` also reads the digits of
+    other scripts, "\u0663" as 3.  Refused text raises ValueError, as ``int()``
+    does, so each reader below keeps its own error kind."""
+    if not text.isascii():
+        raise ValueError(f"invalid literal for int(): {text!r}")
+    return int(text)
+
+
+_int.__name__ = "int"  # argparse names the type in "invalid int value: ..."
+
+
 def _field_from_flag(text: str) -> Field:
     if text == "Q":
         return QQ
     if text.startswith("Fp:"):
         try:
-            return PrimeField(int(text[3:]))
+            return PrimeField(_int(text[3:]))
         except ValueError as exc:
             raise ParseError(f"bad field flag {text!r}: {exc}") from None
     raise ParseError(f"bad field flag {text!r}: expected 'Q' or 'Fp:<prime>'")
@@ -144,7 +164,7 @@ def _scalars(text: str, field: Field) -> list:
 
 def _ints(text: str) -> list:
     try:
-        return [int(tok) for tok in text.split(",")]
+        return [_int(tok) for tok in text.split(",")]
     except ValueError:
         raise ParseError(f"bad integer list {text!r}") from None
 
@@ -285,7 +305,7 @@ def _cmd_collide(args):
         env = os.environ.get("KELLERLAB_BUDGET")
         if env is not None:
             try:
-                budget = int(env)
+                budget = _int(env)
             except ValueError:
                 raise _UsageError(f"KELLERLAB_BUDGET must be an integer, got {env!r}") from None
     witnesses = collision_search(polymap, args.r, budget)
@@ -315,6 +335,8 @@ def _cmd_vandermonde(args):
     degrees = _ints(args.degrees)
     if any(d < 0 for d in degrees):
         raise ParseError("degrees must be nonnegative")
+    if any(power_too_long(point, max(degrees)) for point in points):
+        raise ParseError(f"a point to the power {max(degrees)} is too long to convert")
     matrix = generalized_vandermonde(field, points, degrees)
     return {"matrix": _render_matrix(matrix), "rank": matrix.rank()}, None
 
@@ -337,14 +359,14 @@ def build_parser() -> _ArgumentParser:
 
     cmd = add("invert", _cmd_invert, "bounded polynomial inversion")
     cmd.add_argument("mapfile")
-    cmd.add_argument("--max-deg", type=int, default=None, dest="max_deg")
+    cmd.add_argument("--max-deg", type=_int, default=None, dest="max_deg")
 
     cmd = add("inverse-degree", _cmd_inverse_degree, "degree of the verified inverse")
     cmd.add_argument("mapfile")
 
     cmd = add("druzkowski", _cmd_druzkowski, "emit the power-linear map x + (Ax)^{*d}")
     cmd.add_argument("--matrix", required=True)
-    cmd.add_argument("--deg", type=int, required=True)
+    cmd.add_argument("--deg", type=_int, required=True)
     cmd.add_argument("--field", default="Q", help="Q (default) or Fp:<prime>")
 
     cmd = add("reduce", _cmd_reduce, "kernel conjugation, paired map, degree bounds")
@@ -362,8 +384,8 @@ def build_parser() -> _ArgumentParser:
 
     cmd = add("collide", _cmd_collide, "exhaustive collinear collision search")
     cmd.add_argument("mapfile")
-    cmd.add_argument("-r", type=int, required=True)
-    cmd.add_argument("--budget", type=int, default=None)
+    cmd.add_argument("-r", type=_int, required=True)
+    cmd.add_argument("--budget", type=_int, default=None)
 
     cmd = add("vandermonde", _cmd_vandermonde, "generalized Vandermonde matrix and rank")
     cmd.add_argument("--points", required=True)

@@ -17,7 +17,7 @@ from .errors import (
     ZeroDirection,
 )
 from .field_linalg import Fp, Matrix, PrimeField, Rationals, generalized_vandermonde
-from .mpoly import MPoly, UniPoly, _coerce_point, _term_values, rational_roots
+from .mpoly import UniPoly, _coerce_point, _line_coefficients, _term_values, rational_roots
 from .polymap import PolyMap, PolyMatrix
 
 DEFAULT_COLLISION_BUDGET = 10_000_000
@@ -219,12 +219,12 @@ def find_rank_drop(polymap: PolyMap, b: Sequence, params: Sequence, degrees: Seq
 
     # the restriction's anchor F(values[0] * b) is a constant, which the
     # derivative drops, and the degree list was checked to cover the support
-    derivatives = (c.restrict_to_line(direction).derivative() for c in polymap.components)
-    pivot = next((h for h in derivatives if not h.is_zero()), UniPoly.zero(field))
+    coerced = _coerce_point(field, direction)
+    pivot = _line_derivative(polymap, [0] * polymap.n, coerced)
     root = _smallest_root(field, pivot)
     if root is not None:
         point = _coerce_point(field, [root * x for x in direction])
-        _check_annihilation(polymap.jacobian(), point, _coerce_point(field, direction))
+        _check_annihilation(polymap.jacobian(), point, coerced)
     return RankDropResult(value=root, derivative=pivot)
 
 
@@ -232,20 +232,24 @@ def _smallest_root(field, poly: UniPoly, shift: int = 0):
     """The smallest s with poly(shift + s) = 0, or None when there is none.
 
     Over F_p, s runs through 0..p-1, each tested by Horner's rule on int
-    residues; only the root found becomes an ``Fp``.  Over Q the shift is
-    always 0 and s is the first rational root in the canonical (|num|, den,
-    sign) order.  The zero polynomial vanishes everywhere and gives 0, first
-    in both orders.
+    residues; only the root found becomes an ``Fp``.  At most
+    ``DEFAULT_COLLISION_BUDGET`` values are tested: when p is larger and none
+    of them is a root, BudgetExceeded is raised.  Over Q the shift is always
+    0 and s is the first rational root in the canonical (|num|, den, sign)
+    order.  The zero polynomial vanishes everywhere and gives 0, first in
+    both orders.
     """
     if isinstance(field, PrimeField):
         p = field.p
         coeffs = [c.v for c in reversed(poly.coeffs)]
-        for s in range(p):
+        for s in range(min(p, DEFAULT_COLLISION_BUDGET)):
             t, acc = (shift + s) % p, 0
             for c in coeffs:
                 acc = (acc * t + c) % p
             if not acc:
                 return field.coerce(s)
+        if p > DEFAULT_COLLISION_BUDGET:
+            raise BudgetExceeded(DEFAULT_COLLISION_BUDGET, p)
         return None
     if poly.is_zero():
         return field.zero
@@ -272,26 +276,22 @@ def _check_annihilation(jacobian: PolyMatrix, point: list, direction: list) -> N
             )
 
 
-def _line_derivative(polymap: PolyMap, base: tuple, b: tuple) -> UniPoly:
+def _line_derivative(polymap: PolyMap, base: list, b: list) -> UniPoly:
     """H_i' for the first i with H_i' nonzero, where H_i(t) = F_i(base + t b);
-    the zero polynomial when every H_i' is zero.
+    the zero polynomial when every H_i' is zero.  ``base`` and ``b`` come
+    from ``_coerce_point``.
 
-    H is built by substituting the images base_k + b_k t, never
-    interpolated from the map's values on the line: over F_p a polynomial
-    of degree p or more is not determined by its values, and neither is its
+    H is expanded from the map's terms (``_line_coefficients``), never
+    interpolated from its values on the line: over F_p a polynomial of
+    degree p or more is not determined by its values, and neither is its
     derivative (x1^3 and x1 agree on F_3).
     """
-    field = polymap.field
-    images = [MPoly(field, 1, {(1,): bk, (0,): ck}) for ck, bk in zip(base, b)]
+    p = polymap.field.characteristic
     for component in polymap.components:
-        restricted = component.substitute(images)
-        coeffs = [field.zero] * (restricted.degree() + 1)
-        for (k,), c in restricted.terms.items():
-            coeffs[k] = c
-        derivative = UniPoly(field, coeffs).derivative()
+        derivative = _line_coefficients(component, base, b, p).derivative()
         if not derivative.is_zero():
             return derivative
-    return UniPoly.zero(field)
+    return UniPoly.zero(polymap.field)
 
 
 def verify_collision_obstruction(polymap: PolyMap, witness: CollisionWitness) -> bool:
@@ -335,13 +335,16 @@ def verify_collision_obstruction(polymap: PolyMap, witness: CollisionWitness) ->
 def line_injectivity(polymap: PolyMap, a: Sequence) -> LineInjectivity:
     """Decide injectivity of the map on the line of scalar multiples of a.
 
-    Over a prime field the line is scanned exhaustively and the verdict is
-    exact; the counterexample, when present, is the first duplicate pair in
-    scan order.  Over Q the verdict is exact when some divided difference of
-    a component is a nonzero constant or when a counterexample is found;
-    otherwise the search covers rational collision patterns and a finite
-    rational-root candidate grid, and returns injective with ``certified``
-    False, meaning only that no rational counterexample was found.
+    Over a prime field the line is scanned in order, at most
+    ``DEFAULT_COLLISION_BUDGET`` points of it, and the verdict is exact; the
+    counterexample, when present, is the first duplicate pair in scan order.
+    When p is larger and no duplicate was found, BudgetExceeded is raised.
+    Over Q the verdict is exact when some component restricts to degree 1
+    (its divided difference is a nonzero constant) or when a counterexample
+    is found; otherwise the search covers rational collision patterns and a
+    finite rational-root candidate grid, and returns injective with
+    ``certified`` False, meaning only that no rational counterexample was
+    found.
     """
     field = polymap.field
     direction = [field.coerce(x) for x in a]
@@ -349,54 +352,31 @@ def line_injectivity(polymap: PolyMap, a: Sequence) -> LineInjectivity:
         return LineInjectivity(injective=True, counterexample=None, certified=True)
     if isinstance(field, PrimeField):
         seen = {}
-        for t in range(field.p):
+        for t in range(min(field.p, DEFAULT_COLLISION_BUDGET)):
             lam = field.coerce(t)
             value = polymap.evaluate([lam * x for x in direction])
             if value in seen:
                 return LineInjectivity(False, (seen[value], lam), True)
             seen[value] = lam
+        if field.p > DEFAULT_COLLISION_BUDGET:
+            raise BudgetExceeded(DEFAULT_COLLISION_BUDGET, field.p)
         return LineInjectivity(True, None, True)
     return _line_injectivity_rational(polymap, direction)
 
 
-def _divided_difference(restriction: UniPoly) -> MPoly:
-    """(G(s) - G(t)) / (s - t) as a polynomial in the two variables s, t."""
-    field = restriction.field
-    acc = {}
-    for k, c in enumerate(restriction.coeffs):
-        if not c or k == 0:
-            continue
-        for j in range(k):
-            key = (j, k - 1 - j)
-            prev = acc.get(key)
-            acc[key] = c if prev is None else prev + c
-    return MPoly(field, 2, acc)
-
-
-def _coefficients_in_second_var(poly: MPoly) -> dict:
-    """View p(s, t) as a polynomial in t: map t-degree -> UniPoly in s."""
-    field = poly.field
-    grouped = {}
-    for (es, et), c in poly.terms.items():
-        grouped.setdefault(et, {})[es] = c
-    out = {}
-    for et, coeffs in grouped.items():
-        size = max(coeffs) + 1
-        dense = [field.zero] * size
-        for es, c in coeffs.items():
-            dense[es] = c
-        out[et] = UniPoly(field, dense)
-    return out
-
-
-def _specialize_second_var(poly: MPoly, value) -> UniPoly:
-    field = poly.field
-    value = field.coerce(value)
-    size = max((es for (es, _t) in poly.terms), default=-1) + 1
-    dense = [field.zero] * size
-    for (es, et), c in poly.terms.items():
-        dense[es] = dense[es] + c * value**et
-    return UniPoly(field, dense)
+def _quotient_at(coeffs: tuple, v) -> list:
+    """The coefficients q_0..q_{K-1} of (G(s) - G(v)) / (s - v) for G with
+    coefficients c_0..c_K, by synthetic division: q_{K-1} = c_K and q_{m-1} =
+    c_m + v q_m.  Since q_m = sum_j c_{j+m+1} v^j, they are also the t^m
+    coefficients of the divided difference (G(s) - G(t)) / (s - t) at s = v:
+    that polynomial is symmetric, and its t^m coefficient is the suffix
+    c_{m+1}..c_K read as a polynomial in s.
+    """
+    q, acc = [], 0
+    for c in reversed(coeffs[1:]):
+        acc = acc * v + c
+        q.append(acc)
+    return q[::-1]
 
 
 def _canonical_rationals():
@@ -409,17 +389,18 @@ def _canonical_rationals():
 
 
 def _line_injectivity_rational(polymap: PolyMap, direction) -> LineInjectivity:
+    """The Q branch of ``line_injectivity``, on the coefficient tuples of
+    the restrictions G_i(t) = F_i(t a); the divided difference of G_i is
+    zero iff G_i is constant and a nonzero constant iff deg G_i = 1."""
     field = polymap.field
-    restrictions = [c.restrict_to_line(direction) for c in polymap.components]
-    if all(len(u.coeffs) <= 1 for u in restrictions):
+    restrictions = [c.restrict_to_line(direction).coeffs for c in polymap.components]
+    if all(len(g) <= 1 for g in restrictions):
         # constant on a nontrivial line: everything collides
         pair = (Fraction(0), Fraction(1))
         return LineInjectivity(False, pair, True)
-    differences = [_divided_difference(u) for u in restrictions]
-    for diff in differences:
-        if not diff.is_zero() and diff.is_constant():
-            return LineInjectivity(True, None, True)
-    pivot = next(diff for diff in differences if not diff.is_zero())
+    if any(len(g) == 2 for g in restrictions):
+        return LineInjectivity(True, None, True)
+    pivot = next(g for g in restrictions if len(g) > 1)
 
     def on_line(s, t):
         left = polymap.evaluate([s * x for x in direction])
@@ -427,14 +408,10 @@ def _line_injectivity_rational(polymap: PolyMap, direction) -> LineInjectivity:
         return left == right
 
     # collision patterns s = const: the constant must kill every coefficient
-    # of the pivot difference viewed as a polynomial in t, and then every
-    # other difference identically
-    coeff_polys = _coefficients_in_second_var(pivot)
-    first = next(iter(coeff_polys.values()))
-    for gamma in (g for g in rational_roots(first)):
-        if any(cp.evaluate(gamma) for cp in coeff_polys.values()):
-            continue
-        if any(not _specialize_second_var(d, gamma).is_zero() for d in differences):
+    # of every divided difference viewed as a polynomial in t; the t^0
+    # coefficient of the pivot's is the suffix c_1..c_K
+    for gamma in rational_roots(UniPoly(field, pivot[1:])):
+        if any(any(_quotient_at(g, gamma)) for g in restrictions):
             continue
         partner = next(t for t in _canonical_rationals() if t != gamma)
         if not on_line(gamma, partner):
@@ -442,10 +419,10 @@ def _line_injectivity_rational(polymap: PolyMap, direction) -> LineInjectivity:
         pair = tuple(sorted((gamma, partner), key=field.sort_key))
         return LineInjectivity(False, pair, True)
 
-    # finite scan: rational roots of the pivot specialized at small anchors
+    # finite scan: rational roots of the pivot difference at small anchors
     candidates = {Fraction(0), Fraction(1), Fraction(-1)}
     for anchor in (0, 1, -1):
-        special = _specialize_second_var(pivot, anchor)
+        special = UniPoly(field, _quotient_at(pivot, anchor))
         if not special.is_zero():
             candidates.update(rational_roots(special))
     ordered = sorted(candidates, key=field.sort_key)
@@ -487,9 +464,10 @@ def collision_search(polymap: PolyMap, r: int, budget: Optional[int] = None) -> 
     hypothesis hold by construction: r distinct offsets t_i against the
     degrees 0..r-1 give the determinant prod (t_j - t_i) != 0, so every
     ``vandermonde_rank`` is r.  When deg F <= r, the line's restriction
-    H_i(t) = F_i(base + t b) is built once, by substitution.  For a witness
-    whose first point is base + t0 b, the derivative that ``find_rank_drop``
-    searches, of s -> F_i(origin + s b), is H_i'(t0 + s).  So the value is 0
+    H_i(t) = F_i(base + t b) is built once, by binomial expansion on
+    residues (``_line_coefficients``).  For a witness whose first point is
+    base + t0 b, the derivative that ``find_rank_drop`` searches, of s ->
+    F_i(origin + s b), is H_i'(t0 + s).  So the value is 0
     when every H_i' is zero, else the smallest s in 0..p-1 with H_i'(t0 + s)
     = 0 for the first nonzero H_i', else None.  The Jacobian is built once
     per call, and a found value must pass the annihilation check of

@@ -10,6 +10,7 @@ floating point anywhere.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -278,6 +279,19 @@ def parse_scalar(text: str, field: Field):
     if den == 0:
         raise ParseError(f"bad scalar literal {text!r}: denominator must be positive")
     return field.from_literal(-num if neg else num, den)
+
+
+def power_too_long(x, e: int) -> bool:
+    """Whether the rational x^e has a numerator or a denominator of more
+    digits than ``int()`` converts (the interpreter's limit, none before
+    Python 3.10.7), decided without computing a large power: |n|^e is at
+    least 2^(e (bits(n) - 1)), and 2^(4 limit) exceeds 10^limit.  An ``Fp``
+    power never is."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return isinstance(x, Fraction) and bool(limit) and any(
+        e * (n.bit_length() - 1) > 4 * limit or n**e >= 10**limit
+        for n in (abs(x.numerator), x.denominator)
+    )
 
 
 class Matrix:

@@ -17,7 +17,8 @@ multiplication):
     var      := "x" posint            # x1 is the first variable
 
 Digits are the ASCII 0-9 only; a digit run longer than ``int()`` converts
-(the interpreter's limit) is a ParseError at the literal's offset.
+(the interpreter's limit) is a ParseError at the literal's offset, and so,
+over Q, is a power of a constant with a longer numerator or denominator.
 
 Note the grammar binds unary minus tighter than "^": ``-x1^2`` is
 ``(-x1)^2``.  The renderer never emits that shape, so parse(render(p)) == p.
@@ -48,12 +49,12 @@ powers are built once and shared by every polynomial in the call.
   list of integer numerators over one shared denominator, and each result
   is brought to lowest terms by a single gcd.
 
-Evaluation over F_p works on int residues too: :meth:`MPoly.evaluate` and
-:meth:`MPoly.restrict_to_line` sum unreduced term values and reduce each sum
-once, and :meth:`UniPoly.evaluate` runs Horner's rule on ints, so each value
-is wrapped in a single ``Fp``.  A point is coerced once per call
-(``_coerce_point``), also when a map or a polynomial matrix evaluates all of
-its entries there.
+Evaluation over F_p works on int residues too: :meth:`MPoly.evaluate` sums
+unreduced term values and reduces the sum once, :meth:`UniPoly.evaluate`
+runs Horner's rule on ints, and every line restriction t -> poly(base + t b)
+is built by binomial expansion on residues (``_line_coefficients``).  A point
+is coerced once per call (``_coerce_point``), also when a map or a
+polynomial matrix evaluates all of its entries there.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from .errors import (
     FieldMismatch,
     ParseError,
 )
-from .field_linalg import Field, Fp, Rationals
+from .field_linalg import Field, Fp, Rationals, power_too_long
 
 
 def _grlex(exps):
@@ -214,6 +215,31 @@ def _term_values(poly: "MPoly", point: list, p: int) -> list:
                 v *= pow(x, e, mod)
         out.append(v)
     return out
+
+
+def _line_coefficients(poly: "MPoly", base: list, b: list, p: int) -> "UniPoly":
+    """The restriction ``t -> poly(base + t * b)`` of ``_coerce_point`` inputs:
+    each term expanded from the binomial rows of (base_k + b_k t)^e, one row
+    per (variable, exponent), summed unreduced until the UniPoly is built."""
+    mod, rows = p or None, {}
+    coeffs = [0] * (poly.degree() + 1)
+    for exps, c in poly.terms.items():
+        term = [c.v if p else c]
+        for k, e in enumerate(exps):
+            row = rows.get((k, e))
+            if row is None:
+                row = [comb(e, j) * pow(base[k], e - j, mod) * pow(b[k], j, mod)
+                       for j in range(e + 1)]
+                rows[k, e] = row
+            if e:
+                product = [0] * (len(term) + e)
+                for i, u in enumerate(term):
+                    for j, v in enumerate(row):
+                        product[i + j] += u * v
+                term = product
+        for j, v in enumerate(term):
+            coeffs[j] += v
+    return UniPoly(poly.field, coeffs)
 
 
 def _unpack(packed: tuple, field: Field, nvars: int, width: int) -> "MPoly":
@@ -490,10 +516,7 @@ class MPoly:
         if len(direction) != self.nvars:
             raise ArityMismatch(f"direction of length {len(direction)} in {self.nvars} variables")
         b = _coerce_point(self.field, direction)
-        coeffs = [0] * (self.degree() + 1)
-        for exps, v in zip(self.terms, _term_values(self, b, self.field.characteristic)):
-            coeffs[sum(exps)] += v
-        return UniPoly(self.field, coeffs)
+        return _line_coefficients(self, [0] * self.nvars, b, self.field.characteristic)
 
     # ---- variable plumbing -----------------------------------------------
 
@@ -771,6 +794,8 @@ class _Parser:
             self.pos += 1
             self.skip_ws()
             e = self.digits()
+            if node.is_constant() and power_too_long(node.constant_term(), e):
+                self.fail("constant power is too long to convert", mark)
             if e > 1:
                 # monomials of degree at most deg * e, and multisets of e terms
                 bound = min(

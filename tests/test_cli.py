@@ -426,6 +426,101 @@ class TestErrorPaths:
         code, out, _ = run(capsys, ["line-check", path, f"--point={literal}"])
         assert code == 0 and json.loads(out)["injective"] is True
 
+    # int() alone reads the digits of other scripts: "\u0662" as 2
+    @pytest.mark.parametrize(
+        "argv,kind",
+        [
+            (["rank-drop", "MAP", "--dir=1", "--params=1,-1", "--degrees=\u0660,\u0661,\u0662"], "ParseError"),
+            (["vandermonde", "--points=1", "--degrees=\u0660"], "ParseError"),
+            (["vandermonde", "--points=1", "--degrees=0", "--field=Fp:\u0667"], "ParseError"),
+            (["druzkowski", "--matrix", "A", "--deg", "2", "--field=Fp:\u0667"], "ParseError"),
+            (["collide", "MAP", "-r", "\u0662"], "UsageError"),
+            (["collide", "MAP", "-r", "2", "--budget", "\u0661\u0660"], "UsageError"),
+            (["invert", "MAP", "--max-deg", "\u0663"], "UsageError"),
+            (["druzkowski", "--matrix", "A", "--deg", "\u0662"], "UsageError"),
+        ],
+        ids=["rank-drop-degrees", "vandermonde-degrees", "vandermonde-field", "druzkowski-field",
+             "collide-r", "collide-budget", "invert-max-deg", "druzkowski-deg"],
+    )
+    def test_non_ascii_integers_are_refused(self, tmp_path, capsys, argv, kind):
+        files = {"MAP": write(tmp_path, "map.json", ZERO_MAP_F2), "A": write(tmp_path, "A.json", [["0"]])}
+        code, out, err = run(capsys, [files.get(tok, tok) for tok in argv])
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == kind
+
+    def test_non_ascii_budget_variable_is_refused(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, "map.json", ZERO_MAP_F2)
+        monkeypatch.setenv("KELLERLAB_BUDGET", "\u0661\u0660\u0660\u0660")
+        code, out, err = run(capsys, ["collide", path, "-r", "2"])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "UsageError",
+            "exit_code": 1,
+            "message": "KELLERLAB_BUDGET must be an integer, got '\u0661\u0660\u0660\u0660'",
+        }
+
+    # over Q a power of a constant, and a vandermonde entry, is refused when
+    # its numerator or denominator would pass CPython's default int
+    # conversion limit of 4300 digits: 3^9012 and 2^14284 have 4300 digits
+    @pytest.mark.parametrize(
+        "command,text",
+        [("keller", "x1 + 3^10000000"), ("jacobian", "3^10000*x1"), ("keller", "x1 + (1/2)^14285")],
+        ids=["huge-exponent", "jacobian-coefficient", "denominator"],
+    )
+    def test_long_constant_powers_are_parse_errors(self, tmp_path, capsys, command, text):
+        path = write(tmp_path, "map.json", {"field": "Q", "nvars": 1, "polys": [text]})
+        code, out, err = run(capsys, [command, path])
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ParseError"
+        assert payload["message"].startswith("constant power is too long to convert (at position")
+
+    def test_constant_powers_within_the_limit_parse(self, tmp_path, capsys):
+        path = write(tmp_path, "map.json", {"field": "Q", "nvars": 1, "polys": ["x1 + 3^9012 - (1/2)^14284"]})
+        code, out, _ = run(capsys, ["keller", path])
+        assert code == 0 and json.loads(out)["det"] == "1"
+        path = write(tmp_path, "map.json", {"field": {"Fp": 7}, "nvars": 1, "polys": ["3^10000000*x1"]})
+        code, out, _ = run(capsys, ["jacobian", path])
+        assert code == 0 and json.loads(out)["jacobian"] == [["4"]]  # 3^(10^7 mod 6) = 3^4
+
+    def test_long_vandermonde_entries_are_parse_errors(self, capsys):
+        code, out, err = run(capsys, ["vandermonde", "--points=1,2", "--degrees=0,20000"])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "ParseError",
+            "exit_code": 1,
+            "message": "a point to the power 20000 is too long to convert",
+        }
+        code, out, _ = run(capsys, ["vandermonde", "--points=1/2", "--degrees=14284"])
+        assert code == 0 and json.loads(out)["rank"] == 1
+        code, out, _ = run(capsys, ["vandermonde", "--points=2", "--degrees=20000", "--field=Fp:7"])
+        assert code == 0 and json.loads(out)["matrix"] == [["4"]]  # 2^(20000 mod 3) = 2^2
+
+    # both scans test at most DEFAULT_COLLISION_BUDGET values, made small
+    # here: the prime fields are the large ones on which they ran unbounded
+    @pytest.mark.parametrize(
+        "field,poly,argv",
+        [
+            (1_000_000_007, "x1", ["line-check", "MAP", "--point=1"]),
+            (1_000_000_097, "x1^3 - x1", ["rank-drop", "MAP", "--dir=1", "--params=1,-1", "--degrees=0,1,3"]),
+        ],
+        ids=["line-check", "rank-drop"],
+    )
+    def test_prime_field_scans_are_bounded(self, tmp_path, capsys, monkeypatch, field, poly, argv):
+        import kellerlab.collinear as collinear
+
+        monkeypatch.setattr(collinear, "DEFAULT_COLLISION_BUDGET", 1000)
+        path = write(tmp_path, "map.json", {"field": {"Fp": field}, "nvars": 1, "polys": [poly]})
+        code, out, err = run(capsys, [path if tok == "MAP" else tok for tok in argv])
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "BudgetExceeded",
+            "exit_code": 2,
+            "message": f"search requires {field} point evaluations, budget is 1000",
+        }
+
     @pytest.mark.parametrize(
         "raw", [b"[" * 100_000, b"\xff\xfe{}", b'{"field": "\xc3"}'], ids=["deep-json", "bad-utf8", "bad-utf8-in-string"]
     )
@@ -495,7 +590,7 @@ TOKENS = [
     "--field", "--matrix", "--deg", "0", "1", "2", "-1", "1,0", "1/2", "x", "", "Q", "Fp:3", "--",
 ]
 
-small_ints = st.sampled_from(["1", "2", "3", "2", "0", "-1", "x"])
+small_ints = st.sampled_from(["1", "2", "3", "2", "0", "-1", "x", "\u0662"])
 # the last three: a superscript digit, an Arabic-Indic digit, and one digit
 # past CPython's default int conversion limit
 scalar_lists = st.lists(
@@ -503,8 +598,8 @@ scalar_lists = st.lists(
     min_size=1,
     max_size=3,
 )
-int_lists = st.lists(st.sampled_from(["0", "1", "2", "3", "-1", "x"]), min_size=1, max_size=3)
-field_flags = st.sampled_from(["Q", "Fp:2", "Fp:3", "Fp:5", "Fp:4", "Fp:", "R"])
+int_lists = st.lists(st.sampled_from(["0", "1", "2", "3", "-1", "x", "\u0662"]), min_size=1, max_size=3)
+field_flags = st.sampled_from(["Q", "Fp:2", "Fp:3", "Fp:5", "Fp:4", "Fp:", "R", "Fp:\u0667"])
 argvs = st.one_of(
     st.sampled_from(["jacobian", "keller", "invert", "inverse-degree", "reduce"]).map(lambda c: [c, "MAP"]),
     st.builds(lambda d: ["invert", "MAP", "--max-deg", d], small_ints),

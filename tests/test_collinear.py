@@ -451,6 +451,61 @@ class TestLineInjectivity:
         verdict = line_injectivity(F, [1, 0])
         assert verdict.injective and verdict.certified
 
+    @pytest.mark.parametrize(
+        "text,budget,expected",
+        [
+            # x1^2 on F_13: the first repeat in scan order is t = 7 = -6
+            ("x1^2", 8, (Fp(6, 13), Fp(7, 13))),
+            ("x1^2", 7, BudgetExceeded),
+            # x1^5 is a bijection of F_13 (gcd(5, 12) = 1): only a full scan answers
+            ("x1^5", 13, None),
+            ("x1^5", 12, BudgetExceeded),
+        ],
+        ids=["repeat-within", "repeat-beyond", "injective-within", "injective-beyond"],
+    )
+    def test_prime_field_scan_is_bounded(self, monkeypatch, text, budget, expected):
+        monkeypatch.setattr(collinear, "DEFAULT_COLLISION_BUDGET", budget)
+        F = pmap(F13, 1, text)
+        if expected is BudgetExceeded:
+            with pytest.raises(BudgetExceeded, match="requires 13 point evaluations, budget is"):
+                line_injectivity(F, [1])
+        else:
+            verdict = line_injectivity(F, [1])
+            assert verdict == (expected is None, expected, True)
+
+
+@st.composite
+def rational_line_case(draw):
+    """A map over Q of degree at most 4 and a line direction, often zero in
+    some coordinate so restrictions of every degree occur."""
+    n = draw(st.integers(1, 3))
+    scalars = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    exps = st.lists(st.integers(0, n - 1), max_size=4).map(lambda vs: tuple(vs.count(k) for k in range(n)))
+    comps = [MPoly(QQ, n, draw(st.dictionaries(exps, scalars, max_size=4))) for _ in range(draw(st.integers(1, 3)))]
+    return PolyMap(QQ, n, comps), [draw(st.integers(-2, 2)) for _ in range(n)]
+
+
+class TestRationalInjectivitySoundness:
+    """Whatever Q ``line_injectivity`` answers can be checked: a
+    counterexample is a sorted pair of distinct parameters with equal images,
+    and a certified injective verdict needs a zero direction or a component
+    restricting to degree 1."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=rational_line_case())
+    def test_verdicts_are_sound(self, case):
+        F, a = case
+        verdict = line_injectivity(F, a)
+        if verdict.counterexample is not None:
+            s, t = verdict.counterexample
+            assert not verdict.injective and verdict.certified
+            assert QQ.sort_key(s) < QQ.sort_key(t)
+            assert F.evaluate([s * x for x in a]) == F.evaluate([t * x for x in a])
+        else:
+            assert verdict.injective
+            if verdict.certified:
+                assert not any(a) or any(c.restrict_to_line(a).degree() == 1 for c in F.components)
+
 
 class TestQuadraticInjectivity:
     def test_nowhere_vanishing_determinant_forces_injectivity(self):
@@ -743,6 +798,33 @@ class TestCollisionRankDrop:
         assert True in outcomes["no root"] and True in outcomes["zero derivative"]
 
 
+class TestOneRestriction:
+    """Every line restriction comes from ``_line_coefficients``: the collinear
+    searches never call the multivariate substitution kernel."""
+
+    def test_no_substitution(self, monkeypatch):
+        import kellerlab.mpoly as mpoly
+        import kellerlab.polymap as polymap
+
+        calls = []
+
+        def forbidden(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("substitution called")
+
+        monkeypatch.setattr(MPoly, "substitute", forbidden)
+        for module in (mpoly, polymap):
+            monkeypatch.setattr(module, "_substitute_all", forbidden)
+        witnesses = collision_search(pmap(F5, 2, "x1^2 + x2", "x1*x2"), 2)
+        assert any(w.rank_drop_param is not None for w in witnesses)
+        assert find_rank_drop(pmap(F5, 1, "x1^2"), [1], [1, -1], [0, 1, 2]).value == Fp(0, 5)
+        assert find_rank_drop(pmap(QQ, 1, "x1^3 - x1"), [1], [1, -1], [0, 1, 3]).found is False
+        assert not line_injectivity(pmap(F5, 2, "x1^2", "x2"), [1, 0]).injective
+        assert not line_injectivity(pmap(QQ, 1, "x1^3 - x1"), [1]).injective
+        assert line_injectivity(pmap(QQ, 1, "x1 + x1^3"), [1]) == (True, None, False)
+        assert calls == []
+
+
 class TestSmallestRoot:
     """Over F_p the root search runs Horner's rule on int residues; it must
     find the same root, in the same search order, as evaluating field
@@ -762,6 +844,26 @@ class TestSmallestRoot:
             assert root is None
         else:
             assert type(root) is Fp and root == field.coerce(expected)
+
+    @pytest.mark.parametrize(
+        "field,coeffs,budget,expected",
+        [
+            (F13, [-9, 1], 10, 9),  # t - 9
+            (F13, [-9, 1], 9, BudgetExceeded),
+            (F11, [1, 0, 1], 11, None),  # t^2 + 1: -1 is not a square mod 11
+            (F11, [1, 0, 1], 10, BudgetExceeded),
+        ],
+        ids=["root-within", "root-beyond", "none-within", "none-beyond"],
+    )
+    def test_prime_field_search_is_bounded(self, monkeypatch, field, coeffs, budget, expected):
+        monkeypatch.setattr(collinear, "DEFAULT_COLLISION_BUDGET", budget)
+        poly = UniPoly(field, coeffs)
+        if expected is BudgetExceeded:
+            with pytest.raises(BudgetExceeded, match=f"requires {field.p} point evaluations"):
+                collinear._smallest_root(field, poly)
+        else:
+            root = collinear._smallest_root(field, poly)
+            assert root == (None if expected is None else field.coerce(expected))
 
     def test_rational_branch_is_unchanged(self):
         poly = UniPoly(QQ, [-2, 1, 1])  # (t - 1)(t + 2)

@@ -624,6 +624,52 @@ class TestRationalEvaluation:
         assert all(type(c) is Fraction for c in line.coeffs)
 
 
+@st.composite
+def line_case(draw):
+    """A polynomial over Q or a small prime field, with exponents up to 6 so
+    that total degrees reach p and beyond, and a line (base, b) of scalars
+    in the forms a caller may pass."""
+    field = draw(st.sampled_from([QQ, F2, F3, F5, F7, F101]))
+    p = field.characteristic
+    nvars = draw(st.integers(1, 3))
+    if p:
+        scalars = st.integers(-3 * p, 3 * p)
+    else:
+        scalars = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 5)) | st.integers(-4, 4)
+    exps = st.tuples(*[st.integers(0, 6)] * nvars)
+    terms = draw(st.dictionaries(exps, scalars, max_size=5))
+    base = [draw(scalars) for _ in range(nvars)]
+    b = [draw(scalars) for _ in range(nvars)]
+    return MPoly(field, nvars, terms), base, b
+
+
+class TestLineCoefficients:
+    """``_line_coefficients`` builds every line restriction t -> poly(base +
+    t b); it must agree with composing the one-variable images base_k + b_k t
+    term by term (``naive_substitute``)."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=line_case())
+    def test_matches_substituting_the_line_images(self, case):
+        poly, base, b = case
+        field = poly.field
+        p = field.characteristic
+        images = [MPoly(field, 1, {(1,): bk, (0,): ck}) for ck, bk in zip(base, b)]
+        expected = naive_substitute(poly, images)
+        dense = [expected.coefficient((k,)) for k in range(expected.degree() + 1)]
+        point, direction = mpoly._coerce_point(field, base), mpoly._coerce_point(field, b)
+        line = mpoly._line_coefficients(poly, point, direction, p)
+        assert line == UniPoly(field, dense)
+        assert all(type(c) is (Fp if p else Fraction) for c in line.coeffs)
+
+    def test_is_expanded_not_interpolated(self):
+        # x1^3 and x1 agree at every point of F_3, but their restrictions to
+        # the line 1 + t differ: (1 + t)^3 = 1 + t^3
+        cube, linear = P("x1^3", 1, F3), P("x1", 1, F3)
+        assert mpoly._line_coefficients(cube, [1], [1], 3) == UniPoly(F3, [1, 0, 0, 1])
+        assert mpoly._line_coefficients(linear, [1], [1], 3) == UniPoly(F3, [1, 1])
+
+
 class TestParse:
     def test_cubic_fixture(self):
         p = parse("x1 + x1^3", 1, QQ)
