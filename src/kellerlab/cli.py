@@ -1,10 +1,15 @@
 """Command-line front end: parse map files, dispatch to the library, emit
 deterministic JSON reports.
 
-Exit codes: 0 success, 1 usage or parse errors, 2 violated preconditions,
-3 a failed theorem conclusion (an implementation bug; CI-fatal).  Reports go
-to stdout, structured errors to stderr; every run with identical inputs
-produces byte-identical output (keys sorted, orderings fixed).
+Each report is a library result written out: a result type as an object
+keyed by its fields, a scalar as its canonical text ("-1/3", or a residue
+0..p-1), a polynomial in the map-file grammar, a matrix as nested arrays.
+
+Exit codes: 0 success, 1 usage or parse errors (also a report with a number
+too long to convert to text), 2 violated preconditions, 3 a failed theorem
+conclusion (an implementation bug; CI-fatal).  Reports go to stdout,
+structured errors to stderr; every run with identical inputs produces
+byte-identical output (keys sorted, orderings fixed).
 
 Map file schema::
 
@@ -22,6 +27,7 @@ import hashlib
 import json
 import os
 import sys
+from fractions import Fraction
 
 from . import __version__
 from .errors import (
@@ -32,6 +38,7 @@ from .errors import (
 )
 from .field_linalg import (
     Field,
+    Fp,
     Matrix,
     PrimeField,
     QQ,
@@ -39,9 +46,9 @@ from .field_linalg import (
     parse_scalar,
     power_too_long,
 )
+from .mpoly import MPoly, UniPoly, render
 from .mpoly import parse as parse_poly
-from .mpoly import render
-from .polymap import PolyMap, power_linear
+from .polymap import PolyMap, PolyMatrix, power_linear
 
 # Handlers import from these modules when they run, so a process loads only
 # its own subcommand's modules and looks each function up at call time (a
@@ -88,12 +95,6 @@ def _field_from_json(spec) -> Field:
         except ValueError as exc:
             raise ParseError(str(exc)) from None
     raise ParseError(f"bad field spec {spec!r}: expected \"Q\" or {{\"Fp\": p}}")
-
-
-def _field_to_json(field: Field):
-    if isinstance(field, PrimeField):
-        return {"Fp": field.p}
-    return "Q"
 
 
 def _int(text: str) -> int:
@@ -169,16 +170,34 @@ def _ints(text: str) -> list:
         raise ParseError(f"bad integer list {text!r}") from None
 
 
-def _render_matrix(matrix: Matrix) -> list:
-    return [[matrix.field.render(e) for e in row] for row in matrix.rows]
-
-
-def _normalized_for_reduction(polymap: PolyMap):
-    from .inversion import is_normalized, normalize_affine
-
-    if is_normalized(polymap):
-        return polymap, False
-    return normalize_affine(polymap).core, True
+def _json(value):
+    """The report form of a library value; any type not listed is a
+    TypeError.  Field elements, plain containers and result types are
+    tested by exact type first: they are most of every report."""
+    kind = type(value)
+    if kind is Fp or kind is Fraction:
+        return str(value)
+    if value is None or kind in (bool, int, str):
+        return value
+    if kind is list or kind is tuple:
+        return list(map(_json, value))
+    if isinstance(value, tuple) and hasattr(kind, "_fields"):  # a NamedTuple result type
+        return dict(zip(value._fields, map(_json, value)))
+    if kind is dict:
+        return dict(zip(value, map(_json, value.values())))
+    if isinstance(value, MPoly):
+        return render(value)
+    if isinstance(value, PolyMap):
+        return [render(c) for c in value.components]
+    if isinstance(value, Matrix):
+        return _json(value.rows)
+    if isinstance(value, PolyMatrix):
+        return _json(value.grid)
+    if isinstance(value, UniPoly):
+        return value.render()
+    if isinstance(value, Field):
+        return {"Fp": value.p} if isinstance(value, PrimeField) else "Q"
+    raise TypeError(f"no report form for a {kind.__name__}")
 
 
 # ---- subcommand handlers --------------------------------------------------
@@ -186,14 +205,13 @@ def _normalized_for_reduction(polymap: PolyMap):
 
 def _cmd_jacobian(args):
     polymap, raw = load_mapfile(args.mapfile)
-    grid = [[render(e) for e in row] for row in polymap.jacobian().grid]
-    return {"jacobian": grid, "nvars": polymap.n}, raw
+    return {"jacobian": polymap.jacobian(), "nvars": polymap.n}, raw
 
 
 def _cmd_keller(args):
     polymap, raw = load_mapfile(args.mapfile)
     det = polymap.det_jacobian()
-    return {"det": render(det), "keller": not det.is_zero() and det.is_constant()}, raw
+    return {"det": det, "keller": not det.is_zero() and det.is_constant()}, raw
 
 
 def _cmd_invert(args):
@@ -202,13 +220,7 @@ def _cmd_invert(args):
     from .inversion import invert_polymap
 
     polymap, raw = load_mapfile(args.mapfile)
-    result = invert_polymap(polymap, args.max_deg)
-    return {
-        "bound_used": result.bound_used,
-        "inverse": [render(c) for c in result.inverse.components],
-        "inverse_degree": result.inverse_degree,
-        "verdict": result.verdict,
-    }, raw
+    return invert_polymap(polymap, args.max_deg), raw
 
 
 def _cmd_inverse_degree(args):
@@ -224,41 +236,20 @@ def _cmd_druzkowski(args):
     field = _field_from_flag(args.field)
     matrix = load_matrixfile(args.matrix, field)
     polymap = power_linear(matrix, args.deg)
-    payload = {
-        "field": _field_to_json(field),
-        "nvars": polymap.n,
-        "polys": [render(c) for c in polymap.components],
-    }
-    return payload, None
+    return {"field": field, "nvars": polymap.n, "polys": polymap}, None
 
 
 def _cmd_reduce(args):
+    from .inversion import is_normalized, normalize_affine
     from .reduction import degree_bound_report, kernel_conjugate, pair_reduction
 
     polymap, raw = load_mapfile(args.mapfile)
-    core, was_normalized = _normalized_for_reduction(polymap)
+    normalized_first = not is_normalized(polymap)
+    core = normalize_affine(polymap).core if normalized_first else polymap
     reduction = kernel_conjugate(core)
     paired = pair_reduction(core, reduction)
     report = degree_bound_report(core)
-    return {
-        "T": _render_matrix(reduction.T),
-        "Tinv": _render_matrix(reduction.Tinv),
-        "conjugated": [render(c) for c in reduction.conjugated.components],
-        "normalized_first": was_normalized,
-        "paired": [render(c) for c in paired.components],
-        "r": reduction.r,
-        "report": {
-            "actual_inverse_degree": report.actual_inverse_degree,
-            "bound": report.bound,
-            "char_p_note": report.char_p_note,
-            "d": report.d,
-            "escalated": report.escalated,
-            "gabber_bound": report.gabber_bound,
-            "n": report.n,
-            "r": report.r,
-            "satisfied": report.satisfied,
-        },
-    }, raw
+    return {**reduction._asdict(), "normalized_first": normalized_first, "paired": paired, "report": report}, raw
 
 
 def _cmd_line_check(args):
@@ -266,31 +257,18 @@ def _cmd_line_check(args):
 
     polymap, raw = load_mapfile(args.mapfile)
     point = _scalars(args.point, polymap.field)
-    verdict = line_injectivity(polymap, point)
-    pair = None
-    if verdict.counterexample is not None:
-        pair = [polymap.field.render(v) for v in verdict.counterexample]
-    return {
-        "certified": verdict.certified,
-        "counterexample": pair,
-        "injective": verdict.injective,
-    }, raw
+    return line_injectivity(polymap, point), raw
 
 
 def _cmd_rank_drop(args):
     from .collinear import find_rank_drop
 
     polymap, raw = load_mapfile(args.mapfile)
-    field = polymap.field
-    direction = _scalars(args.dir, field)
-    params = _scalars(args.params, field)
+    direction = _scalars(args.dir, polymap.field)
+    params = _scalars(args.params, polymap.field)
     degrees = _ints(args.degrees) if args.degrees else list(range(len(params) + 1))
     result = find_rank_drop(polymap, direction, params, degrees)
-    return {
-        "derivative": result.derivative.render(),
-        "found": result.found,
-        "value": field.render(result.value) if result.found else None,
-    }, raw
+    return {**result._asdict(), "found": result.found}, raw
 
 
 def _cmd_collide(args):
@@ -299,7 +277,6 @@ def _cmd_collide(args):
     from .collinear import collision_search
 
     polymap, raw = load_mapfile(args.mapfile)
-    field = polymap.field
     budget = args.budget
     if budget is None:
         env = os.environ.get("KELLERLAB_BUDGET")
@@ -309,24 +286,7 @@ def _cmd_collide(args):
             except ValueError:
                 raise _UsageError(f"KELLERLAB_BUDGET must be an integer, got {env!r}") from None
     witnesses = collision_search(polymap, args.r, budget)
-    rendered = []
-    for w in witnesses:
-        rendered.append(
-            {
-                "b": [field.render(v) for v in w.b],
-                "base": [field.render(v) for v in w.base],
-                "degrees": list(w.degrees),
-                "det_jac_nonconstant": w.det_jac_nonconstant,
-                "params": [field.render(v) for v in w.params],
-                "rank_drop_param": (
-                    field.render(w.rank_drop_param)
-                    if w.rank_drop_param is not None
-                    else None
-                ),
-                "vandermonde_rank": w.vandermonde_rank,
-            }
-        )
-    return {"count": len(rendered), "witnesses": rendered}, raw
+    return {"count": len(witnesses), "witnesses": witnesses}, raw
 
 
 def _cmd_vandermonde(args):
@@ -338,7 +298,7 @@ def _cmd_vandermonde(args):
     if any(power_too_long(point, max(degrees)) for point in points):
         raise ParseError(f"a point to the power {max(degrees)} is too long to convert")
     matrix = generalized_vandermonde(field, points, degrees)
-    return {"matrix": _render_matrix(matrix), "rank": matrix.rank()}, None
+    return {"matrix": matrix, "rank": matrix.rank()}, None
 
 
 def build_parser() -> _ArgumentParser:
@@ -428,12 +388,16 @@ def main(argv=None) -> int:
         return _emit_error(type(exc).__name__, str(exc), 2)
     except KellerlabError as exc:  # pragma: no cover - defensive
         return _emit_error(type(exc).__name__, str(exc), 2)
-    if args.command == "druzkowski":
-        # the output is itself a loadable map file, so no report envelope
-        report = payload
-    else:
-        report = {"command": args.command, "digest": _digest(tokens, [raw]), **payload}
-    print(json.dumps(report, sort_keys=True))
+    try:
+        report = _json(payload)
+        if args.command != "druzkowski":  # its output is a loadable map file: no envelope
+            report = {"command": args.command, "digest": _digest(tokens, [raw]), **report}
+        text = json.dumps(report, sort_keys=True)
+    except ValueError as exc:  # only the interpreter's int-to-text limit
+        if "integer string conversion" not in str(exc):
+            raise
+        return _emit_error("ParseError", "the report has a number too long to convert", 1)
+    print(text)
     return 0
 
 

@@ -10,6 +10,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
+    ArityMismatch,
     BudgetExceeded,
     NonSquare,
     PreconditionFailed,
@@ -338,6 +339,8 @@ def line_injectivity(polymap: PolyMap, a: Sequence) -> LineInjectivity:
     Over a prime field the line is scanned in order, at most
     ``DEFAULT_COLLISION_BUDGET`` points of it, and the verdict is exact; the
     counterexample, when present, is the first duplicate pair in scan order.
+    Each restriction G_i(t) = F_i(t a) is built once and evaluated by
+    Horner's rule on int residues, and an image is kept as one base-p int.
     When p is larger and no duplicate was found, BudgetExceeded is raised.
     Over Q the verdict is exact when some component restricts to degree 1
     (its divided difference is a nonzero constant) or when a counterexample
@@ -351,15 +354,25 @@ def line_injectivity(polymap: PolyMap, a: Sequence) -> LineInjectivity:
     if all(not x for x in direction):
         return LineInjectivity(injective=True, counterexample=None, certified=True)
     if isinstance(field, PrimeField):
+        if len(direction) != polymap.n:
+            raise ArityMismatch(f"point of length {len(direction)} for a map on {polymap.n} variables")
+        p = field.p
+        highest_first = [
+            [c.v for c in reversed(f.restrict_to_line(direction).coeffs)] for f in polymap.components
+        ]
         seen = {}
-        for t in range(min(field.p, DEFAULT_COLLISION_BUDGET)):
-            lam = field.coerce(t)
-            value = polymap.evaluate([lam * x for x in direction])
-            if value in seen:
-                return LineInjectivity(False, (seen[value], lam), True)
-            seen[value] = lam
-        if field.p > DEFAULT_COLLISION_BUDGET:
-            raise BudgetExceeded(DEFAULT_COLLISION_BUDGET, field.p)
+        for t in range(min(p, DEFAULT_COLLISION_BUDGET)):
+            image = 0
+            for coeffs in highest_first:
+                value = 0
+                for c in coeffs:
+                    value = (value * t + c) % p
+                image = image * p + value
+            if image in seen:
+                return LineInjectivity(False, (field.coerce(seen[image]), field.coerce(t)), True)
+            seen[image] = t
+        if p > DEFAULT_COLLISION_BUDGET:
+            raise BudgetExceeded(DEFAULT_COLLISION_BUDGET, p)
         return LineInjectivity(True, None, True)
     return _line_injectivity_rational(polymap, direction)
 

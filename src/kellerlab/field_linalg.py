@@ -488,20 +488,14 @@ def complete_to_basis(v_cols: Matrix) -> Matrix:
 
     The leading columns are the lexicographically first standard unit vectors
     (scanned e_1, e_2, ...) that keep the whole column set independent, which
-    makes the completion deterministic.
+    makes the completion deterministic: they are the pivot columns among the
+    unit vectors of one row reduction of [V | I].
     """
     n, k = v_cols.nrows, v_cols.ncols
-    if v_cols.rank() != k:
-        raise DependentInput("input columns are linearly dependent")
     field = v_cols.field
-    fixed = list(v_cols.columns())
-    zero, one = field.zero, field.one
-    chosen: list[tuple] = []
-    for i in range(n):
-        if len(chosen) == n - k:
-            break
-        unit = tuple(one if r == i else zero for r in range(n))
-        trial = Matrix.from_columns(field, chosen + [unit] + fixed, nrows=n)
-        if trial.rank() == len(chosen) + 1 + k:
-            chosen.append(unit)
-    return Matrix.from_columns(field, chosen + fixed, nrows=n)
+    unit = Matrix.identity(field, n).rows
+    _, pivots = Matrix(field, [row + e for row, e in zip(v_cols.rows, unit)], ncols=k + n).rref()
+    if pivots[:k] != tuple(range(k)):
+        raise DependentInput("input columns are linearly dependent")
+    chosen = [unit[c - k] for c in pivots[k:]]
+    return Matrix.from_columns(field, chosen + list(v_cols.columns()), nrows=n)

@@ -3,12 +3,27 @@ import io
 import json
 import os
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kellerlab import Matrix
-from kellerlab.cli import main
+from kellerlab import (
+    CollisionWitness,
+    DegreeBoundReport,
+    Fp,
+    InverseResult,
+    KernelReduction,
+    LineInjectivity,
+    Matrix,
+    PolyMap,
+    PrimeField,
+    QQ,
+    RankDropResult,
+    UniPoly,
+    parse,
+)
+from kellerlab.cli import _json, main
 from kellerlab.errors import TheoremViolation
 from kellerlab.mpoly import MAX_NESTING, MAX_POWER_TERMS
 from kellerlab.polymap import PolyMatrix
@@ -28,6 +43,8 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+F5 = PrimeField(5)
+F7 = PrimeField(7)
 QUADRATIC_3VAR = {"field": "Q", "nvars": 3, "polys": ["x1 + x2*x3", "x2 - x1*x3", "x3"]}
 ZERO_MAP_F2 = {"field": {"Fp": 2}, "nvars": 1, "polys": ["x1 - x1^2"]}
 
@@ -571,6 +588,81 @@ class TestErrorPaths:
         assert payload["error"] == "TheoremViolation"
         assert payload["exit_code"] == 3
         assert site in payload["message"]
+
+
+class TestReportConverter:
+    """``cli._json`` is the one place a library value becomes report text."""
+
+    Q_MAP = PolyMap(QQ, 2, [parse("x1 - 1/2*x2^2", 2, QQ), parse("x2", 2, QQ)])
+    F5_MAP = PolyMap(F5, 1, [parse("3*x1^2 + x1", 1, F5)])
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            (InverseResult("PolynomialInverse", Q_MAP, 2, 4),
+             {"verdict": "PolynomialInverse", "inverse": ["-1/2*x2^2 + x1", "x2"], "inverse_degree": 2,
+              "bound_used": 4}),
+            (LineInjectivity(False, (Fp(0, 5), Fp(3, 5)), True),
+             {"injective": False, "counterexample": ["0", "3"], "certified": True}),
+            (RankDropResult(None, UniPoly(QQ, [Fraction(-1, 3), 0, 2])),
+             {"value": None, "derivative": "2*t^2 - 1/3"}),
+            (CollisionWitness((Fp(1, 5),), (Fp(4, 5),), (Fp(0, 5), Fp(2, 5)), (0, 1, 2), 2, None, True),
+             {"b": ["1"], "base": ["4"], "params": ["0", "2"], "degrees": [0, 1, 2], "vandermonde_rank": 2,
+              "rank_drop_param": None, "det_jac_nonconstant": True}),
+            (KernelReduction(Matrix(QQ, [[0, 1], [1, Fraction(1, 2)]]), Matrix.identity(QQ, 2), 1, F5_MAP),
+             {"T": [["0", "1"], ["1", "1/2"]], "Tinv": [["1", "0"], ["0", "1"]], "r": 1,
+              "conjugated": ["3*x1^2 + x1"]}),
+            (DegreeBoundReport(3, 2, 1, 2, 4, 2, True, False, None),
+             {"n": 3, "d": 2, "r": 1, "bound": 2, "gabber_bound": 4, "actual_inverse_degree": 2,
+              "satisfied": True, "escalated": False, "char_p_note": None}),
+        ],
+        ids=lambda v: type(v).__name__ if hasattr(v, "_fields") else None,
+    )
+    def test_result_types_become_objects_keyed_by_their_fields(self, value, expected):
+        report = _json(value)
+        assert list(report) == list(type(value)._fields)
+        assert report == expected
+        json.dumps(report)
+
+    def test_scalars_polynomials_and_fields(self):
+        assert _json(Fraction(-1, 3)) == "-1/3" == QQ.render(Fraction(-1, 3))
+        assert _json(Fp(6, 7)) == "6" == F7.render(Fp(6, 7))
+        assert [_json(True), _json(7), _json("x"), _json(None)] == [True, 7, "x", None]
+        assert _json(QQ) == "Q" and _json(F5) == {"Fp": 5}
+        assert _json(self.Q_MAP.jacobian()) == [["1", "-1*x2"], ["0", "1"]]
+        assert _json({"det": parse("x1 + 1", 1, F5), "rows": []}) == {"det": "x1 + 1", "rows": []}
+
+    @pytest.mark.parametrize("value", [1.5, object(), {1, 2}, b"1", [Fraction(1), 2j]], ids=repr)
+    def test_any_other_type_is_a_type_error(self, value):
+        with pytest.raises(TypeError, match="no report form"):
+            _json(value)
+
+
+class TestNumbersTooLongToConvert:
+    # 3000 digits parse; their product has about 6000, past CPython's
+    # default int conversion limit of 4300 digits
+    LONG = {"field": "Q", "nvars": 1, "polys": ["3" * 3000 + "*" + "7" * 3000 + "*x1"]}
+
+    @pytest.mark.parametrize("command", ["jacobian", "keller"])
+    def test_report_is_refused_with_exit_1(self, tmp_path, capsys, command):
+        path = write(tmp_path, "map.json", self.LONG)
+        code, out, err = run(capsys, [command, path])
+        assert (code, out) == (1, "")
+        assert err == (
+            '{"error": "ParseError", "exit_code": 1, "message": '
+            '"the report has a number too long to convert"}\n'
+        )
+
+    def test_other_value_errors_are_not_caught(self, tmp_path, capsys, monkeypatch):
+        import kellerlab.cli as cli_module
+
+        def broken(poly):
+            raise ValueError("not a conversion limit")
+
+        monkeypatch.setattr(cli_module, "render", broken)
+        path = write(tmp_path, "map.json", QUADRATIC_3VAR)
+        with pytest.raises(ValueError, match="not a conversion limit"):
+            main(["keller", path])
 
 
 # ---- fuzzing main() -------------------------------------------------------

@@ -33,7 +33,7 @@ from kellerlab.errors import (
     ZeroDirection,
 )
 
-from conftest import P, naive_collision_search, pmap, random_mpoly, rng_for
+from conftest import P, naive_collision_search, naive_evaluate, pmap, random_mpoly, rng_for
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -472,6 +472,49 @@ class TestLineInjectivity:
         else:
             verdict = line_injectivity(F, [1])
             assert verdict == (expected is None, expected, True)
+
+
+def line_injectivity_reference(F, a):
+    """Brute force over F_p: evaluate term by term at every t * a in scan
+    order and return the first repeated image's pair."""
+    field = F.field
+    direction = [field.coerce(x) for x in a]
+    if not any(direction):
+        return (True, None, True)
+    seen = {}
+    for t in range(field.p):
+        lam = field.coerce(t)
+        image = tuple(naive_evaluate(c, [lam * x for x in direction]) for c in F.components)
+        if image in seen:
+            return (False, (seen[image], lam), True)
+        seen[image] = lam
+    return (True, None, True)
+
+
+@st.composite
+def prime_line_case(draw):
+    field = draw(st.sampled_from([F2, F3, F5, F7, F13]))
+    n = draw(st.integers(1, 3))
+    # exponents up to 6, so degrees at and above p occur on the small fields
+    exps = st.lists(st.integers(0, 6), min_size=n, max_size=n).map(tuple)
+    comps = [MPoly(field, n, draw(st.dictionaries(exps, st.integers(-20, 20), max_size=4)))
+             for _ in range(draw(st.integers(0, 3)))]
+    return PolyMap(field, n, comps), draw(st.lists(st.integers(-3, 20), min_size=n, max_size=n))
+
+
+class TestPrimeFieldInjectivityDifferential:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=prime_line_case())
+    def test_matches_brute_force_without_map_evaluation(self, case):
+        F, a = case
+
+        def forbidden(self, point):
+            raise AssertionError("PolyMap.evaluate called")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(PolyMap, "evaluate", forbidden)
+            verdict = line_injectivity(F, a)
+        assert verdict == line_injectivity_reference(F, a)
 
 
 @st.composite

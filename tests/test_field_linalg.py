@@ -197,6 +197,39 @@ class TestCompleteToBasis:
                 assert t.det() != field.zero
                 assert t.columns()[n - basis.ncols :] == basis.columns()
 
+    @staticmethod
+    def greedy_completion(v):
+        """The definition: scan e_1, e_2, ... and keep each unit vector that
+        leaves the kept ones and the columns of V independent (ranks by
+        brute force); V itself must be independent."""
+        field, n, k = v.field, v.nrows, v.ncols
+        if brute_rank(v) != k:
+            return DependentInput
+        kept = []
+        for i in range(n):
+            unit = tuple(field.one if r == i else field.zero for r in range(n))
+            trial = Matrix.from_columns(field, kept + [unit] + list(v.columns()), nrows=n)
+            if brute_rank(trial) == len(kept) + 1 + k:
+                kept.append(unit)
+        return Matrix.from_columns(field, kept + list(v.columns()), nrows=n)
+
+    def test_matches_the_greedy_definition(self):
+        rng = rng_for("complete-basis-greedy")
+        dependent = 0
+        for field in (QQ, F2, F3, F5):
+            for _ in range(60):
+                n = rng.randint(0, 3)
+                # entries from a small span, so dependent inputs are common
+                v = random_matrix(rng, field, n, rng.randint(0, n + 1), span=1)
+                expected = self.greedy_completion(v)
+                if expected is DependentInput:
+                    dependent += 1
+                    with pytest.raises(DependentInput):
+                        complete_to_basis(v)
+                else:
+                    assert complete_to_basis(v) == expected
+        assert 20 < dependent < 200
+
 
 class TestVandermonde:
     def test_f5_example(self):
