@@ -50,8 +50,10 @@ _EXPORTS = {
         "is_prime",
         "parse_scalar",
     ),
-    "mpoly": ("MPoly", "UniPoly", "parse", "rational_roots", "render"),
-    "polymap": ("PolyMap", "PolyMatrix", "euler_check", "hadamard_power", "power_linear"),
+    "mpoly": ("MPoly", "parse", "render"),
+    "unipoly": ("UniPoly", "rational_roots"),
+    "polymap": ("PolyMap", "euler_check", "hadamard_power", "power_linear"),
+    "polymatrix": ("PolyMatrix",),
     "inversion": (
         "AffineNormalization",
         "InverseResult",

@@ -23,7 +23,6 @@ collision-search budget.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -46,9 +45,9 @@ from .field_linalg import (
     parse_scalar,
     power_too_long,
 )
-from .mpoly import MPoly, UniPoly, render
+from .mpoly import MPoly, render
 from .mpoly import parse as parse_poly
-from .polymap import PolyMap, PolyMatrix, power_linear
+from .polymap import PolyMap, power_linear
 
 # Handlers import from these modules when they run, so a process loads only
 # its own subcommand's modules and looks each function up at call time (a
@@ -89,7 +88,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _field_from_json(spec) -> Field:
     if spec == "Q":
         return QQ
-    if isinstance(spec, dict) and set(spec) == {"Fp"} and isinstance(spec["Fp"], int):
+    if isinstance(spec, dict) and set(spec) == {"Fp"} and type(spec["Fp"]) is int:  # not a bool
         try:
             return PrimeField(spec["Fp"])
         except ValueError as exc:
@@ -138,7 +137,7 @@ def load_mapfile(path: str):
         raise ParseError(f"{path}: map file needs exactly the keys field, nvars, polys")
     field = _field_from_json(data["field"])
     nvars = data["nvars"]
-    if not isinstance(nvars, int) or nvars < 0:
+    if type(nvars) is not int or nvars < 0:  # a JSON true or false is not a count
         raise ParseError(f"{path}: nvars must be a nonnegative integer")
     polys = data["polys"]
     if not isinstance(polys, list) or not all(isinstance(s, str) for s in polys):
@@ -191,12 +190,16 @@ def _json(value):
         return [render(c) for c in value.components]
     if isinstance(value, Matrix):
         return _json(value.rows)
-    if isinstance(value, PolyMatrix):
-        return _json(value.grid)
-    if isinstance(value, UniPoly):
-        return value.render()
     if isinstance(value, Field):
         return {"Fp": value.p} if isinstance(value, PrimeField) else "Q"
+    # a PolyMatrix or UniPoly exists only once its module is loaded, so the
+    # classes are looked up among the loaded modules: converting loads none
+    polymatrix = sys.modules.get(f"{__package__}.polymatrix")
+    if polymatrix is not None and isinstance(value, polymatrix.PolyMatrix):
+        return _json(value.grid)
+    unipoly = sys.modules.get(f"{__package__}.unipoly")
+    if unipoly is not None and isinstance(value, unipoly.UniPoly):
+        return value.render()
     raise TypeError(f"no report form for a {kind.__name__}")
 
 
@@ -356,7 +359,11 @@ def build_parser() -> _ArgumentParser:
 
 
 def _digest(tokens, raw_inputs) -> str:
-    hasher = hashlib.sha256()
+    try:  # the builtin module: hashlib would load OpenSSL
+        from _sha256 import sha256
+    except ImportError:  # renamed in Python 3.12
+        from hashlib import sha256
+    hasher = sha256()
     for tok in tokens:
         hasher.update(tok.encode())
         hasher.update(b"\x00")

@@ -18,8 +18,10 @@ from .errors import (
     ZeroDirection,
 )
 from .field_linalg import Fp, Matrix, PrimeField, Rationals, generalized_vandermonde
-from .mpoly import UniPoly, _coerce_point, _line_coefficients, _term_values, rational_roots
-from .polymap import PolyMap, PolyMatrix
+from .mpoly import _coerce_point, _term_values
+from .polymap import PolyMap
+from .polymatrix import PolyMatrix
+from .unipoly import UniPoly, _line_coefficients, rational_roots
 
 DEFAULT_COLLISION_BUDGET = 10_000_000
 
@@ -97,6 +99,16 @@ class LineInjectivity(NamedTuple):
     certified: bool
 
 
+def _direction(polymap: PolyMap, b: Sequence) -> list:
+    """The direction ``b`` coerced into the map's field; ArityMismatch unless
+    it has one coordinate per variable, checked before anything else about
+    it (a zero direction of the wrong length is still the wrong length)."""
+    direction = [polymap.field.coerce(x) for x in b]
+    if len(direction) != polymap.n:
+        raise ArityMismatch(f"point of length {len(direction)} for a map on {polymap.n} variables")
+    return direction
+
+
 def line_restriction(polymap: PolyMap, b: Sequence, base, degrees=None) -> LineData:
     """Restrict to the line t -> t*b and subtract the value at t = base.
 
@@ -105,7 +117,7 @@ def line_restriction(polymap: PolyMap, b: Sequence, base, degrees=None) -> LineD
     ahead of time).
     """
     field = polymap.field
-    direction = [field.coerce(x) for x in b]
+    direction = _direction(polymap, b)
     if all(not x for x in direction):
         raise ZeroDirection("the line direction must be nonzero")
     base = field.coerce(base)
@@ -194,11 +206,11 @@ def verify_coefficient_rank(line: LineData, params: Sequence) -> bool:
 def find_rank_drop(polymap: PolyMap, b: Sequence, params: Sequence, degrees: Sequence[int]) -> RankDropResult:
     """Search for a scalar a with (jac F) at a*b annihilating b.
 
-    Hypotheses (checked): the map takes equal values at all params[i] * b,
-    its term degrees lie in the given nonnegative, strictly increasing list
-    of length r + 1 containing 0, and the parameters, of which there is at
-    least one, have a generalized Vandermonde matrix of rank r against the
-    first r degrees.
+    Hypotheses (checked): b has one coordinate per variable and is nonzero,
+    the map takes equal values at all params[i] * b, its term degrees lie in
+    the given nonnegative, strictly increasing list of length r + 1
+    containing 0, and the parameters, of which there is at least one, have a
+    generalized Vandermonde matrix of rank r against the first r degrees.
 
     The root search follows the derivative of the first nonvanishing
     component of the line restriction: exhaustively over F_p (smallest root
@@ -208,7 +220,7 @@ def find_rank_drop(polymap: PolyMap, b: Sequence, params: Sequence, degrees: Seq
     an outcome, not an error.
     """
     field = polymap.field
-    direction = [field.coerce(x) for x in b]
+    direction = _direction(polymap, b)
     if all(not x for x in direction):
         raise ZeroDirection("the line direction must be nonzero")
     values = [field.coerce(a) for a in params]
@@ -298,22 +310,23 @@ def _line_derivative(polymap: PolyMap, base: list, b: list) -> UniPoly:
 def verify_collision_obstruction(polymap: PolyMap, witness: CollisionWitness) -> bool:
     """Check that det jac F is not a nonzero constant, given a valid witness.
 
-    Hypotheses (checked, in this order): the map is square, the direction is
-    nonzero, the witness degree list is nonnegative and strictly increasing
-    of length r + 1, contains 0 and covers the term degrees of the map
-    translated to the witness base, the translated map takes equal values at
-    the params[i] * b, the generalized Vandermonde matrix of the parameters
-    against the first r degrees has full rank (so the parameters are
-    distinct), and the top degree is neither 1 nor divisible by the
-    characteristic.  Under these the conclusion is a theorem, so a constant
-    nonzero determinant raises TheoremViolation.
+    Hypotheses (checked, in this order): the map is square, the direction
+    has one coordinate per variable and is nonzero, the witness degree list
+    is nonnegative and strictly increasing of length r + 1, contains 0 and
+    covers the term degrees of the map translated to the witness base, the
+    translated map takes equal values at the params[i] * b, the generalized
+    Vandermonde matrix of the parameters against the first r degrees has
+    full rank (so the parameters are distinct), and the top degree is
+    neither 1 nor divisible by the characteristic.  Under these the
+    conclusion is a theorem, so a constant nonzero determinant raises
+    TheoremViolation.
     """
     field = polymap.field
     if polymap.m != polymap.n:
         raise NonSquare(f"{polymap.m}x{polymap.n} map")
     values = [field.coerce(a) for a in witness.params]
     degrees = tuple(witness.degrees)
-    direction = [field.coerce(x) for x in witness.b]
+    direction = _direction(polymap, witness.b)
     if all(not x for x in direction):
         raise ZeroDirection("the line direction must be nonzero")
     translated = polymap.translate([field.coerce(c) for c in witness.base])
@@ -334,7 +347,9 @@ def verify_collision_obstruction(polymap: PolyMap, witness: CollisionWitness) ->
 
 
 def line_injectivity(polymap: PolyMap, a: Sequence) -> LineInjectivity:
-    """Decide injectivity of the map on the line of scalar multiples of a.
+    """Decide injectivity of the map on the line of scalar multiples of a,
+    which must have one coordinate per variable (a zero ``a`` is a point,
+    on which every map is injective).
 
     Over a prime field the line is scanned in order, at most
     ``DEFAULT_COLLISION_BUDGET`` points of it, and the verdict is exact; the
@@ -350,12 +365,10 @@ def line_injectivity(polymap: PolyMap, a: Sequence) -> LineInjectivity:
     found.
     """
     field = polymap.field
-    direction = [field.coerce(x) for x in a]
+    direction = _direction(polymap, a)
     if all(not x for x in direction):
         return LineInjectivity(injective=True, counterexample=None, certified=True)
     if isinstance(field, PrimeField):
-        if len(direction) != polymap.n:
-            raise ArityMismatch(f"point of length {len(direction)} for a map on {polymap.n} variables")
         p = field.p
         highest_first = [
             [c.v for c in reversed(f.restrict_to_line(direction).coeffs)] for f in polymap.components

@@ -1,5 +1,7 @@
-"""Sparse multivariate polynomials over an exact field, dense univariate
-restrictions, and the expression grammar (parser + canonical renderer).
+"""Sparse multivariate polynomials over an exact field and the expression
+grammar (parser + canonical renderer).  Dense univariate restrictions to a
+line live in ``unipoly``, loaded by :meth:`MPoly.restrict_to_line` when it
+runs.
 
 Canonical form: term maps carry no zero coefficients and iterate in
 graded-lexicographic order (total degree first, then exponent tuple),
@@ -50,11 +52,9 @@ powers are built once and shared by every polynomial in the call.
   is brought to lowest terms by a single gcd.
 
 Evaluation over F_p works on int residues too: :meth:`MPoly.evaluate` sums
-unreduced term values and reduces the sum once, :meth:`UniPoly.evaluate`
-runs Horner's rule on ints, and every line restriction t -> poly(base + t b)
-is built by binomial expansion on residues (``_line_coefficients``).  A point
-is coerced once per call (``_coerce_point``), also when a map or a
-polynomial matrix evaluates all of its entries there.
+unreduced term values and reduces the sum once.  A point is coerced once per
+call (``_coerce_point``), also when a map or a polynomial matrix evaluates
+all of its entries there.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ from .errors import (
     FieldMismatch,
     ParseError,
 )
-from .field_linalg import Field, Fp, Rationals, power_too_long
+from .field_linalg import Field, Fp, power_too_long
 
 
 def _grlex(exps):
@@ -215,31 +215,6 @@ def _term_values(poly: "MPoly", point: list, p: int) -> list:
                 v *= pow(x, e, mod)
         out.append(v)
     return out
-
-
-def _line_coefficients(poly: "MPoly", base: list, b: list, p: int) -> "UniPoly":
-    """The restriction ``t -> poly(base + t * b)`` of ``_coerce_point`` inputs:
-    each term expanded from the binomial rows of (base_k + b_k t)^e, one row
-    per (variable, exponent), summed unreduced until the UniPoly is built."""
-    mod, rows = p or None, {}
-    coeffs = [0] * (poly.degree() + 1)
-    for exps, c in poly.terms.items():
-        term = [c.v if p else c]
-        for k, e in enumerate(exps):
-            row = rows.get((k, e))
-            if row is None:
-                row = [comb(e, j) * pow(base[k], e - j, mod) * pow(b[k], j, mod)
-                       for j in range(e + 1)]
-                rows[k, e] = row
-            if e:
-                product = [0] * (len(term) + e)
-                for i, u in enumerate(term):
-                    for j, v in enumerate(row):
-                        product[i + j] += u * v
-                term = product
-        for j, v in enumerate(term):
-            coeffs[j] += v
-    return UniPoly(poly.field, coeffs)
 
 
 def _unpack(packed: tuple, field: Field, nvars: int, width: int) -> "MPoly":
@@ -515,6 +490,8 @@ class MPoly:
         """The univariate polynomial ``t -> self(t * direction)``."""
         if len(direction) != self.nvars:
             raise ArityMismatch(f"direction of length {len(direction)} in {self.nvars} variables")
+        from .unipoly import _line_coefficients
+
         b = _coerce_point(self.field, direction)
         return _line_coefficients(self, [0] * self.nvars, b, self.field.characteristic)
 
@@ -565,141 +542,6 @@ class MPoly:
                 elif key in rem:
                     del rem[key]
         return MPoly(self.field, self.nvars, quot)
-
-
-class UniPoly:
-    """Dense univariate polynomial; coefficient ``k`` multiplies ``t^k``."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: Field, coeffs: Sequence):
-        cs = [field.coerce(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.field = field
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls, field: Field) -> "UniPoly":
-        return cls(field, ())
-
-    @classmethod
-    def constant(cls, field: Field, value) -> "UniPoly":
-        return cls(field, (value,))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self) -> int:
-        """Degree; 0 for the zero polynomial by convention."""
-        return max(len(self.coeffs) - 1, 0)
-
-    def support(self) -> tuple:
-        return tuple(k for k, c in enumerate(self.coeffs) if c)
-
-    def coefficient(self, k: int):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return self.field.zero
-
-    def evaluate(self, t):
-        t = self.field.coerce(t)
-        p = self.field.characteristic
-        if p:
-            t, acc = t.v, 0
-            for c in reversed(self.coeffs):
-                acc = (acc * t + c.v) % p
-            return Fp(acc, p)
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly(self.field, [c * k for k, c in enumerate(self.coeffs)][1:])
-
-    def __add__(self, other):
-        if not isinstance(other, UniPoly):
-            other = UniPoly.constant(self.field, other)
-        if self.field != other.field:
-            raise FieldMismatch(f"{self.field} vs {other.field}")
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(self.field, [self.coefficient(k) + other.coefficient(k) for k in range(n)])
-
-    def __neg__(self):
-        return UniPoly(self.field, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if not isinstance(other, UniPoly):
-            other = UniPoly.constant(self.field, other)
-        return self + (-other)
-
-    def __eq__(self, other):
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
-
-    def render(self, var: str = "t") -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if not c:
-                continue
-            mono = "" if k == 0 else (var if k == 1 else f"{var}^{k}")
-            parts.append(_format_term(self.field, c, mono, first=not parts))
-        return "".join(parts)
-
-    def __repr__(self):
-        return self.render()
-
-
-def rational_roots(poly: UniPoly) -> list:
-    """All rational roots of a nonzero polynomial over Q, canonically sorted.
-
-    Classic rational-root test after clearing denominators; the canonical
-    order is by (|numerator|, denominator, sign), so 0 < -1 < 1 < -1/2 < ...
-    """
-    if not isinstance(poly.field, Rationals):
-        raise FieldMismatch("rational root search needs a polynomial over Q")
-    if poly.is_zero():
-        raise ValueError("the zero polynomial vanishes everywhere")
-    roots = set()
-    coeffs = list(poly.coeffs)
-    shift = 0
-    while not coeffs[0]:
-        coeffs.pop(0)
-        shift += 1
-    if shift:
-        roots.add(Fraction(0))
-    if len(coeffs) > 1:
-        scale = lcm(*[c.denominator for c in coeffs])
-        ints = [int(c * scale) for c in coeffs]
-        for p in _divisors(abs(ints[0])):
-            for q in _divisors(abs(ints[-1])):
-                if gcd(p, q) != 1:
-                    continue
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if poly.evaluate(cand) == 0:
-                        roots.add(cand)
-    qq = poly.field
-    return sorted(roots, key=qq.sort_key)
-
-
-def _divisors(n: int) -> list:
-    divs = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            divs.append(d)
-            if d != n // d:
-                divs.append(n // d)
-        d += 1
-    return sorted(divs)
 
 
 # ---- text grammar -------------------------------------------------------

@@ -1,7 +1,11 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
+import pathlib
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 
@@ -23,10 +27,10 @@ from kellerlab import (
     UniPoly,
     parse,
 )
-from kellerlab.cli import _json, main
+from kellerlab.cli import _digest, _json, main
 from kellerlab.errors import TheoremViolation
 from kellerlab.mpoly import MAX_NESTING, MAX_POWER_TERMS
-from kellerlab.polymap import PolyMatrix
+from kellerlab.polymatrix import PolyMatrix
 
 from conftest import doubled_inverse
 
@@ -316,6 +320,25 @@ class TestErrorPaths:
         code, _, err = run(capsys, ["keller", path])
         assert code == 1
         assert "prime" in json.loads(err)["message"]
+
+    # json reads true and false as bools, and a bool is an int to isinstance
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"field": "Q", "nvars": True, "polys": ["x1"]}, "nvars must be a nonnegative integer"),
+            ({"field": "Q", "nvars": False, "polys": []}, "nvars must be a nonnegative integer"),
+            ({"field": {"Fp": True}, "nvars": 1, "polys": ["x1"]}, "bad field spec {'Fp': True}"),
+            ({"field": {"Fp": False}, "nvars": 1, "polys": ["x1"]}, "bad field spec {'Fp': False}"),
+        ],
+        ids=["nvars-true", "nvars-false", "fp-true", "fp-false"],
+    )
+    def test_json_booleans_are_not_integers(self, tmp_path, capsys, payload, message):
+        path = write(tmp_path, "map.json", payload)
+        code, out, err = run(capsys, ["keller", path])
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        report = json.loads(err)
+        assert report["error"] == "ParseError" and message in report["message"]
 
     def test_modulus_too_large_to_certify_is_exit_1(self, capsys):
         argv = ["vandermonde", "--points", "1", "--degrees", "0", "--field", f"Fp:{2**89 - 1}"]
@@ -636,6 +659,38 @@ class TestReportConverter:
     def test_any_other_type_is_a_type_error(self, value):
         with pytest.raises(TypeError, match="no report form"):
             _json(value)
+
+
+class TestDigest:
+    """The report digest is SHA-256 over the argument tokens and the input
+    file bytes, each followed by a zero byte, whichever module computes it."""
+
+    def test_matches_hashlib(self):
+        tokens, raw = ["keller", "map.json"], b'{"field": "Q"}'
+        expected = hashlib.sha256(b"keller\x00map.json\x00" + raw + b"\x00").hexdigest()
+        assert _digest(tokens, [raw]) == expected
+        assert _digest(tokens, [None]) == hashlib.sha256(b"keller\x00map.json\x00").hexdigest()
+
+    def test_same_digest_without_the_builtin_module(self, tmp_path, capsys):
+        path = write(tmp_path, "map.json", QUADRATIC_3VAR)
+        code, out, _ = run(capsys, ["keller", path])
+        assert code == 0
+        # the fallback: a None entry makes ``import _sha256`` fail
+        script = (
+            "import sys\n"
+            "sys.modules['_sha256'] = None\n"
+            "from kellerlab.cli import main\n"
+            "main(sys.argv[1:])\n"
+            "assert 'hashlib' in sys.modules\n"
+        )
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        fallback = subprocess.run(
+            [sys.executable, "-c", script, "keller", path], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert (fallback.returncode, fallback.stderr) == (0, "")
+        assert fallback.stdout == out
+        assert json.loads(out)["digest"] == _digest(["keller", path], [pathlib.Path(path).read_bytes()])
 
 
 class TestNumbersTooLongToConvert:

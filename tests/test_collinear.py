@@ -27,6 +27,7 @@ from kellerlab import (
     verify_collision_obstruction,
 )
 from kellerlab.errors import (
+    ArityMismatch,
     BudgetExceeded,
     PreconditionFailed,
     TheoremViolation,
@@ -502,6 +503,30 @@ def prime_line_case(draw):
     return PolyMap(field, n, comps), draw(st.lists(st.integers(-3, 20), min_size=n, max_size=n))
 
 
+class TestDirectionLength:
+    """A direction is checked for length before anything else, with one
+    message over every field: a zero direction of the wrong length is
+    refused, not read as a point or as a zero direction."""
+
+    CALLS = {
+        "line_injectivity": lambda F, b: line_injectivity(F, b),
+        "find_rank_drop": lambda F, b: find_rank_drop(F, b, [0, 1], [0, 1, 3]),
+        "line_restriction": lambda F, b: line_restriction(F, b, 0),
+        "verify_collision_obstruction": lambda F, b: verify_collision_obstruction(
+            F, CollisionWitness(tuple(b), (0, 0, 0), (0, 1), (0, 1, 3), 2, None, True)
+        ),
+    }
+
+    @pytest.mark.parametrize("field", [QQ, F7], ids=str)
+    @pytest.mark.parametrize("b", [[0, 0], [1, 0], [0, 0, 0, 0]], ids=str)
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_wrong_length_is_an_arity_mismatch(self, call, b, field):
+        F = pmap(field, 3, "x1", "x2", "x3^3")
+        message = f"point of length {len(b)} for a map on 3 variables"
+        with pytest.raises(ArityMismatch, match=message):
+            self.CALLS[call](F, b)
+
+
 class TestPrimeFieldInjectivityDifferential:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(case=prime_line_case())
@@ -848,6 +873,7 @@ class TestOneRestriction:
     def test_no_substitution(self, monkeypatch):
         import kellerlab.mpoly as mpoly
         import kellerlab.polymap as polymap
+        import kellerlab.polymatrix as polymatrix
 
         calls = []
 
@@ -856,7 +882,7 @@ class TestOneRestriction:
             raise AssertionError("substitution called")
 
         monkeypatch.setattr(MPoly, "substitute", forbidden)
-        for module in (mpoly, polymap):
+        for module in (mpoly, polymap, polymatrix):
             monkeypatch.setattr(module, "_substitute_all", forbidden)
         witnesses = collision_search(pmap(F5, 2, "x1^2 + x2", "x1*x2"), 2)
         assert any(w.rank_drop_param is not None for w in witnesses)

@@ -1,6 +1,6 @@
 """Import policy: each CLI subcommand loads only the modules it uses, the
 package loads its submodules on first attribute access, and nothing imports
-``dataclasses``.  Module loading is checked in fresh interpreters, since the
+``dataclasses``, nor ``hashlib`` where the builtin ``_sha256`` exists.  Module loading is checked in fresh interpreters, since the
 test process itself has imported everything."""
 
 import json
@@ -39,21 +39,30 @@ def fresh_python(code, *args, cwd=None):
 
 
 def modules_after_main(argv, cwd):
-    """The modules loaded once ``main(argv)`` returns, and its exit code."""
+    """The exit code of ``main(argv)`` (it exits for ``--version``), the
+    modules loaded then, and every name bound in a loaded kellerlab module,
+    so a class is seen absent wherever it is defined."""
     code = (
         "import json, sys\n"
         "from kellerlab.cli import main\n"
-        "code = main(sys.argv[1:])\n"
-        "print(json.dumps([code, sorted(sys.modules)]))\n"
+        "try:\n"
+        "    code = main(sys.argv[1:])\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "ours = [vars(m) for name, m in list(sys.modules.items()) if name.split('.')[0] == 'kellerlab']\n"
+        "print(json.dumps([code, sorted(sys.modules), sorted({n for names in ours for n in names})]))\n"
     )
-    exit_code, modules = json.loads(fresh_python(code, *argv, cwd=cwd))
-    return exit_code, set(modules)
+    exit_code, modules, names = json.loads(fresh_python(code, *argv, cwd=cwd))
+    return exit_code, set(modules), set(names)
 
 
 @pytest.fixture
 def mapfile(tmp_path):
+    """A normalized map (identity linear part, no constant term), and a
+    matrix file for ``druzkowski``, in one directory."""
     path = tmp_path / "map.json"
     path.write_text(json.dumps({"field": {"Fp": 3}, "nvars": 2, "polys": ["x1 + x2^2", "x2"]}))
+    (tmp_path / "A.json").write_text(json.dumps([["1", "1"], ["-1", "-1"]]))
     return path
 
 
@@ -70,14 +79,64 @@ def mapfile(tmp_path):
     ids=lambda v: v[0] if isinstance(v, list) else None,
 )
 def test_subcommand_loads_only_its_modules(mapfile, argv, absent):
-    code, loaded = modules_after_main(argv, mapfile.parent)
+    code, loaded, _names = modules_after_main(argv, mapfile.parent)
     assert code == 0
     assert not loaded & set(absent)
     assert "kellerlab.polymap" in loaded
 
 
+# the digest comes from the builtin _sha256 module: hashlib loads OpenSSL.
+# Dense univariate polynomials serve only the collinear line code.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--version"],
+        ["keller", "map.json"],
+        ["jacobian", "map.json"],
+        ["invert", "map.json"],
+        ["inverse-degree", "map.json"],
+        ["reduce", "map.json"],
+        ["druzkowski", "--matrix", "A.json", "--deg", "2"],
+        ["vandermonde", "--points", "1,2", "--degrees", "0,1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_no_openssl_and_no_univariate_polynomials(mapfile, argv):
+    code, loaded, names = modules_after_main(argv, mapfile.parent)
+    assert code == 0
+    assert not loaded & {"hashlib", "_hashlib", "kellerlab.unipoly"}
+    assert not names & {"UniPoly", "rational_roots"}
+
+
+# a polynomial matrix is built only as a Jacobian; inverting a normalized
+# map needs none
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--version"],
+        ["druzkowski", "--matrix", "A.json", "--deg", "2"],
+        ["vandermonde", "--points", "1,2", "--degrees", "0,1"],
+        ["invert", "map.json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_no_polynomial_matrices(mapfile, argv):
+    code, loaded, names = modules_after_main(argv, mapfile.parent)
+    assert code == 0
+    assert "kellerlab.polymatrix" not in loaded
+    assert "PolyMatrix" not in names
+
+
+def test_every_library_module_is_in_the_export_table():
+    """Each module file under ``src/kellerlab`` has a row in ``_EXPORTS``,
+    and each row names a module file; ``cli`` is the command-line front end,
+    not a library module."""
+    files = {path.stem for path in (SRC / "kellerlab").glob("*.py")} - {"__init__", "cli"}
+    assert files == set(kellerlab._EXPORTS)
+
+
 def test_reduce_loads_reduction_but_not_collinear(mapfile):
-    code, loaded = modules_after_main(["reduce", "map.json"], mapfile.parent)
+    code, loaded, _names = modules_after_main(["reduce", "map.json"], mapfile.parent)
     assert code == 0
     assert {"kellerlab.inversion", "kellerlab.reduction"} <= loaded
     assert not loaded & {"kellerlab.collinear", "dataclasses"}

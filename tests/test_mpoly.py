@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kellerlab.mpoly as mpoly
+import kellerlab.unipoly as unipoly
 from kellerlab import Fp, MPoly, PolyMap, PrimeField, QQ, UniPoly, parse, rational_roots, render
 from kellerlab.errors import (
     ArityMismatch,
@@ -658,7 +659,7 @@ class TestLineCoefficients:
         expected = naive_substitute(poly, images)
         dense = [expected.coefficient((k,)) for k in range(expected.degree() + 1)]
         point, direction = mpoly._coerce_point(field, base), mpoly._coerce_point(field, b)
-        line = mpoly._line_coefficients(poly, point, direction, p)
+        line = unipoly._line_coefficients(poly, point, direction, p)
         assert line == UniPoly(field, dense)
         assert all(type(c) is (Fp if p else Fraction) for c in line.coeffs)
 
@@ -666,8 +667,8 @@ class TestLineCoefficients:
         # x1^3 and x1 agree at every point of F_3, but their restrictions to
         # the line 1 + t differ: (1 + t)^3 = 1 + t^3
         cube, linear = P("x1^3", 1, F3), P("x1", 1, F3)
-        assert mpoly._line_coefficients(cube, [1], [1], 3) == UniPoly(F3, [1, 0, 0, 1])
-        assert mpoly._line_coefficients(linear, [1], [1], 3) == UniPoly(F3, [1, 1])
+        assert unipoly._line_coefficients(cube, [1], [1], 3) == UniPoly(F3, [1, 0, 0, 1])
+        assert unipoly._line_coefficients(linear, [1], [1], 3) == UniPoly(F3, [1, 1])
 
 
 class TestParse:
