@@ -16,15 +16,12 @@ Map file schema::
     {"field": "Q" | {"Fp": p}, "nvars": n, "polys": ["expr", ...]}
 
 Matrix files are JSON arrays of arrays of scalar strings ("2", "-1/3").
-The environment variable ``KELLERLAB_BUDGET`` overrides the default
-collision-search budget.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -45,7 +42,7 @@ from .field_linalg import (
     parse_scalar,
     power_too_long,
 )
-from .mpoly import MPoly, render
+from .mpoly import MAX_POWER_TERMS, MPoly, power_term_bound, render
 from .mpoly import parse as parse_poly
 from .polymap import PolyMap, power_linear
 
@@ -169,6 +166,15 @@ def _ints(text: str) -> list:
         raise ParseError(f"bad integer list {text!r}") from None
 
 
+def _refuse_long_powers(points: list, degrees: list, noun: str) -> None:
+    """ParseError when, over Q, some point to the top degree would be too
+    long to convert.  Only a positive top degree is checked: a power 0 is
+    1, and a negative degree list is refused elsewhere (0^-1 is undefined)."""
+    top = max(degrees, default=0)
+    if top > 0 and any(power_too_long(x, top) for x in points):
+        raise ParseError(f"a {noun} to the power {top} is too long to convert")
+
+
 def _json(value):
     """The report form of a library value; any type not listed is a
     TypeError.  Field elements, plain containers and result types are
@@ -238,6 +244,10 @@ def _cmd_druzkowski(args):
         raise _UsageError("--deg must be at least 1")
     field = _field_from_flag(args.field)
     matrix = load_matrixfile(args.matrix, field)
+    # each component is the power of a row form: degree 1, a term per nonzero entry
+    bound = max(power_term_bound(matrix.ncols, 1, sum(map(bool, row)), args.deg) for row in matrix.rows)
+    if bound > MAX_POWER_TERMS:
+        raise ParseError(f"power may expand to {bound} terms, more than {MAX_POWER_TERMS}")
     polymap = power_linear(matrix, args.deg)
     return {"field": field, "nvars": polymap.n, "polys": polymap}, None
 
@@ -270,6 +280,8 @@ def _cmd_rank_drop(args):
     direction = _scalars(args.dir, polymap.field)
     params = _scalars(args.params, polymap.field)
     degrees = _ints(args.degrees) if args.degrees else list(range(len(params) + 1))
+    # the Vandermonde check raises the params to the first len(params) degrees
+    _refuse_long_powers(params, degrees[: len(params)], "parameter")
     result = find_rank_drop(polymap, direction, params, degrees)
     return {**result._asdict(), "found": result.found}, raw
 
@@ -280,15 +292,7 @@ def _cmd_collide(args):
     from .collinear import collision_search
 
     polymap, raw = load_mapfile(args.mapfile)
-    budget = args.budget
-    if budget is None:
-        env = os.environ.get("KELLERLAB_BUDGET")
-        if env is not None:
-            try:
-                budget = _int(env)
-            except ValueError:
-                raise _UsageError(f"KELLERLAB_BUDGET must be an integer, got {env!r}") from None
-    witnesses = collision_search(polymap, args.r, budget)
+    witnesses = collision_search(polymap, args.r, args.budget)
     return {"count": len(witnesses), "witnesses": witnesses}, raw
 
 
@@ -298,8 +302,7 @@ def _cmd_vandermonde(args):
     degrees = _ints(args.degrees)
     if any(d < 0 for d in degrees):
         raise ParseError("degrees must be nonnegative")
-    if any(power_too_long(point, max(degrees)) for point in points):
-        raise ParseError(f"a point to the power {max(degrees)} is too long to convert")
+    _refuse_long_powers(points, degrees, "point")
     matrix = generalized_vandermonde(field, points, degrees)
     return {"matrix": matrix, "rank": matrix.rank()}, None
 

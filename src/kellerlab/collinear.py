@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import comb
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -459,27 +460,46 @@ def _line_injectivity_rational(polymap: PolyMap, direction) -> LineInjectivity:
     return LineInjectivity(True, None, certified=False)
 
 
+def _class_lines(points: list, p: int) -> dict:
+    """The canonical line through each pair of the points, mapped to the set
+    of parameters of the points on it.  For points x < y, k is the first
+    coordinate where they differ, the direction is b = (y - x) / (y_k - x_k)
+    and the base x - x_k b is 0 at k, so a point's parameter is its own
+    coordinate k."""
+    lines: dict = {}
+    for i, x in enumerate(points):
+        for y in points[i + 1 :]:
+            k = next(k for k, (u, v) in enumerate(zip(x, y)) if u != v)
+            inverse = pow(y[k] - x[k], -1, p)
+            b = tuple((v - u) * inverse % p for u, v in zip(x, y))
+            base = tuple((u - x[k] * c) % p for u, c in zip(x, b))
+            lines.setdefault((base, b), set()).update((x[k], y[k]))
+    return lines
+
+
 def collision_search(polymap: PolyMap, r: int, budget: Optional[int] = None) -> list:
     """Exhaustively find all lines where r points share an image, over F_p.
 
-    Directions have their first nonzero (pivot) coordinate normalized to 1,
-    so the lexicographically smallest point of a line is its canonical
-    point, the one whose pivot coordinate is 0.  Each of the p^(n-1) *
-    (p^n - 1) / (p - 1) lines is built once, as a canonical pair (base, b):
-    a base is paired only with the directions whose pivot is one of its zero
-    coordinates (one sorted direction list per zero pattern), and the pairs
-    are visited sorted by (base, b), so the output order is deterministic.
-    One witness is emitted per (line, image) pair whose image is attained at
-    least r times, normalized by translating the first collision point to
-    the origin; parameters are the point offsets along the line and the
-    degree list is 0..r.
+    A line is written canonically as base + t b, with the first nonzero
+    (pivot) coordinate of b equal to 1 and the base 0 there, so that t is a
+    point's pivot coordinate.  One witness is emitted per (line, image)
+    pair whose image is attained at least r times on the line, normalized
+    by translating the first of those points to the origin: its parameters
+    are the offsets of the r smallest t, and its degree list is 0..r.
+    Witnesses are sorted by (base, b, smallest t), so the output order is
+    deterministic.
 
-    The scan runs on ints.  A point is its index in
-    ``itertools.product(range(p), repeat=n)`` order, and the map is
-    evaluated once per point on int residues, its image stored as the index
-    of the image point.  A line's point indices are sums of one precomputed
-    list per moving coordinate; a line whose p images are pairwise distinct
-    holds no witness and is skipped.  Field elements are built only for the
+    The map is evaluated once at each of the p^n points, on int residues
+    (``_term_values``), and the points are grouped by image; only classes of
+    at least r points can hold a witness.  Two distinct points lie on one
+    line, so each pair in a class gives its canonical line
+    (``_class_lines``), and the class's points on that line are the pairs'
+    points.  The work is n p^n evaluations plus sum C(k, 2) pairs over the
+    kept classes of k points each.  The budget is checked on the
+    evaluations before any is made, and on evaluations plus pairs before
+    any pair is visited; either check raises BudgetExceeded.  A map with
+    large image classes costs more than the lines it has: a constant map
+    has about p^(2n) / 2 pairs.  Field elements are built only for the
     fields of an emitted witness.
 
     A witness's ``rank_drop_param`` is
@@ -490,7 +510,7 @@ def collision_search(polymap: PolyMap, r: int, budget: Optional[int] = None) -> 
     hypothesis hold by construction: r distinct offsets t_i against the
     degrees 0..r-1 give the determinant prod (t_j - t_i) != 0, so every
     ``vandermonde_rank`` is r.  When deg F <= r, the line's restriction
-    H_i(t) = F_i(base + t b) is built once, by binomial expansion on
+    H_i(t) = F_i(base + t b) is built once per line, by binomial expansion on
     residues (``_line_coefficients``).  For a witness whose first point is
     base + t0 b, the derivative that ``find_rank_drop`` searches, of s ->
     F_i(origin + s b), is H_i'(t0 + s).  So the value is 0
@@ -518,94 +538,52 @@ def collision_search(polymap: PolyMap, r: int, budget: Optional[int] = None) -> 
     required = n * p**n
     if required > budget:
         raise BudgetExceeded(budget, required)
-    points = list(itertools.product(range(p), repeat=n))
-    # the point (x_1, ..., x_n) has index sum x_k * weights[k]
-    weights = [p ** (n - 1 - k) for k in range(n)]
-    images = []
-    for pt in points:
-        image = 0
-        for c in polymap.components:
-            image = image * p + sum(_term_values(c, pt, p)) % p
-        images.append(image)
-    # cycles[(k, c)][s] = (c * s mod p) * weights[k] for s < 2p, so along
-    # t -> v + c t coordinate k contributes cycles[(k, c)][u + t] for
-    # u = v / c, a slice of one list
-    cycles = {}
-    # (pivot, b, [(k, 1 / b_k, cycle) for each nonzero b_k]) for each b
-    # whose first nonzero (pivot) coordinate is 1, in sorted order
-    directions = []
-    for b in points:
-        pivot = next((k for k, c in enumerate(b) if c), None)
-        if pivot is None or b[pivot] != 1:
-            continue
-        moving = []
-        for k, c in enumerate(b):
-            if c:
-                cycle = cycles.get((k, c))
-                if cycle is None:
-                    cycle = [(c * s % p) * weights[k] for s in range(2 * p)]
-                    cycles[(k, c)] = cycle
-                moving.append((k, pow(c, -1, p), cycle))
-        directions.append((pivot, b, moving))
+    classes: dict = {}
+    for pt in itertools.product(range(p), repeat=n):
+        image = tuple(sum(_term_values(c, pt, p)) % p for c in polymap.components)
+        classes.setdefault(image, []).append(pt)
+    kept = [points for points in classes.values() if len(points) >= r]
+    required += sum(comb(len(points), 2) for points in kept)
+    if required > budget:
+        raise BudgetExceeded(budget, required, "point evaluations and pairs")
+    found = [
+        (base, b, sorted(ts)[:r])
+        for points in kept
+        for (base, b), ts in _class_lines(points, p).items()
+        if len(ts) >= r
+    ]
     det_nonconstant = not polymap.is_keller()
     map_degree = polymap.degree()
     degrees = tuple(range(r + 1))
     # the translated map's term degrees lie in 0..r iff the map's do
     jacobian = polymap.jacobian() if map_degree <= r else None
     witnesses = []
-    by_zeros = {}  # zero coordinates of a base -> its canonical directions
-    for index, base in enumerate(points):
-        zeros = tuple(k for k, c in enumerate(base) if not c)
-        paired = by_zeros.get(zeros)
-        if paired is None:
-            paired = [(b, moving) for pivot, b, moving in directions if pivot in zeros]
-            by_zeros[zeros] = paired
-        for b, moving in paired:
-            # the line's point indices: the fixed coordinates' part plus one
-            # slice per moving coordinate
-            fixed = index
-            slices = []
-            for k, inverse, cycle in moving:
-                v = base[k]
-                fixed -= v * weights[k]
-                u = v * inverse % p
-                slices.append(cycle[u : u + p])
-            keys = [images[fixed + s] for s in map(sum, zip(*slices))]
-            if len(set(keys)) == p:
-                continue
-            groups: dict = {}
-            for t, key in enumerate(keys):
-                groups.setdefault(key, []).append(t)
-            derivative = None  # built at the line's first witness that needs it
-            for ts in groups.values():
-                if len(ts) < r:
-                    continue
-                sel = ts[:r]
-                t0 = sel[0]
-                origin = [(c + t0 * x) % p for c, x in zip(base, b)]
-                params = tuple(Fp(t - t0, p) for t in sel)
-                drop_value = None
-                if jacobian is not None:
-                    if derivative is None:
-                        derivative = _line_derivative(polymap, base, b)
-                    drop_value = _smallest_root(field, derivative, t0)
-                    if drop_value is not None:
-                        s = drop_value.v
-                        point = [(c + s * x) % p for c, x in zip(origin, b)]
-                        _check_annihilation(jacobian, point, b)
-                witness = CollisionWitness(
-                    b=tuple(Fp(c, p) for c in b),
-                    base=tuple(Fp(c, p) for c in origin),
-                    params=params,
-                    degrees=degrees,
-                    vandermonde_rank=r,
-                    rank_drop_param=drop_value,
-                    det_jac_nonconstant=det_nonconstant,
+    for (base, b), line in itertools.groupby(sorted(found), key=lambda w: w[:2]):
+        derivative = _line_derivative(polymap, base, b) if jacobian is not None else None
+        for _, _, sel in line:
+            t0 = sel[0]
+            origin = [(c + t0 * x) % p for c, x in zip(base, b)]
+            params = tuple(Fp(t - t0, p) for t in sel)
+            drop_value = None
+            if jacobian is not None:
+                drop_value = _smallest_root(field, derivative, t0)
+                if drop_value is not None:
+                    s = drop_value.v
+                    point = [(c + s * x) % p for c, x in zip(origin, b)]
+                    _check_annihilation(jacobian, point, b)
+            witness = CollisionWitness(
+                b=tuple(Fp(c, p) for c in b),
+                base=tuple(Fp(c, p) for c in origin),
+                params=params,
+                degrees=degrees,
+                vandermonde_rank=r,
+                rank_drop_param=drop_value,
+                det_jac_nonconstant=det_nonconstant,
+            )
+            if r >= map_degree and r % p != 0 and not det_nonconstant:
+                raise TheoremViolation(
+                    "collision witness against a map with unit Jacobian "
+                    f"determinant (r = {r}, degree {map_degree})"
                 )
-                if r >= map_degree and r % p != 0 and not det_nonconstant:
-                    raise TheoremViolation(
-                        "collision witness against a map with unit Jacobian "
-                        f"determinant (r = {r}, degree {map_degree})"
-                    )
-                witnesses.append(witness)
+            witnesses.append(witness)
     return witnesses

@@ -105,12 +105,11 @@ class PreconditionFailed(PreconditionError):
 
 
 class BudgetExceeded(PreconditionError):
-    """An exhaustive search would exceed the configured budget."""
+    """An exhaustive search would exceed the configured budget; ``what``
+    names the units of work that ``required`` counts."""
 
-    def __init__(self, budget, required):
-        super().__init__(
-            f"search requires {required} point evaluations, budget is {budget}"
-        )
+    def __init__(self, budget, required, what="point evaluations"):
+        super().__init__(f"search requires {required} {what}, budget is {budget}")
         self.budget = budget
         self.required = required
 

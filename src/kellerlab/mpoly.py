@@ -555,6 +555,13 @@ MAX_NESTING = 100
 MAX_POWER_TERMS = 10_000
 
 
+def power_term_bound(nvars: int, degree: int, terms: int, e: int) -> int:
+    """A bound on the term count of f^e, for f in nvars variables of the
+    given degree and term count: the monomials of degree at most degree * e,
+    and the multisets of e terms."""
+    return min(comb(nvars + degree * e, nvars), comb(terms + e - 1, e))
+
+
 class _Parser:
     def __init__(self, text: str, nvars: int, field: Field):
         self.text = text
@@ -639,11 +646,7 @@ class _Parser:
             if node.is_constant() and power_too_long(node.constant_term(), e):
                 self.fail("constant power is too long to convert", mark)
             if e > 1:
-                # monomials of degree at most deg * e, and multisets of e terms
-                bound = min(
-                    comb(self.nvars + node.degree() * e, self.nvars),
-                    comb(len(node.terms) + e - 1, e),
-                )
+                bound = power_term_bound(self.nvars, node.degree(), len(node.terms), e)
                 if bound > MAX_POWER_TERMS:
                     self.fail(
                         f"power may expand to {bound} terms, more than {MAX_POWER_TERMS}", mark

@@ -26,7 +26,6 @@ def test_recorded_output(case, tmp_path, monkeypatch, capsys):
     for name, text in case["files"].items():
         (tmp_path / name).write_text(text)
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("KELLERLAB_BUDGET", raising=False)
     code = main(case["argv"])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (case["exit_code"], case["stdout"], case["stderr"])

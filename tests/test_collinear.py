@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -645,6 +646,25 @@ class TestCollisionSearch:
             collision_search(F, 2, budget=10)
         assert err.value.required == 2 * 25
 
+    # the pairs of the kept classes only: ("x1^2", "0") over F_5 has classes
+    # of 5, 10 and 10 points, and r = 6 keeps the two of 10
+    @pytest.mark.parametrize(
+        "texts,r,pairs", [(("1", "2"), 2, math.comb(25, 2)), (("x1^2", "0"), 6, 2 * math.comb(10, 2))]
+    )
+    def test_pair_budget_is_checked_before_any_pair(self, monkeypatch, texts, r, pairs):
+        F = pmap(F5, 2, *texts)
+        required = 2 * 25 + pairs
+        assert collision_search(F, r, budget=required) == naive_collision_search(F, r)
+
+        def refused(points, p):
+            raise AssertionError("a pair was visited")
+
+        monkeypatch.setattr(collinear, "_class_lines", refused)
+        message = f"search requires {required} point evaluations and pairs, budget is {required - 1}"
+        with pytest.raises(BudgetExceeded, match=message) as err:
+            collision_search(F, r, budget=required - 1)
+        assert err.value.required == required
+
     def test_requires_prime_field(self):
         with pytest.raises(PreconditionFailed):
             collision_search(pmap(QQ, 1, "x1^2"), 2)
@@ -682,6 +702,12 @@ class TestCollisionSearch:
                 if r > field.p:
                     assert witnesses == []
                 found += len(witnesses)
+        # large image classes: one class of every point, classes of p^(n-1)
+        # points, and the classes of the squares
+        for texts in (["1"] * n, ["x1"] * n, [f"x{i + 1}^2" for i in range(n)]):
+            F = pmap(field, n, *texts)
+            for r in (2, 3):
+                assert collision_search(F, r) == naive_collision_search(F, r)
         assert found
 
     @pytest.mark.parametrize(

@@ -30,7 +30,6 @@ HEAVY = ("kellerlab.inversion", "kellerlab.reduction", "kellerlab.collinear", "d
 def fresh_python(code, *args, cwd=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    env.pop("KELLERLAB_BUDGET", None)
     out = subprocess.run(
         [sys.executable, "-c", code, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=60
     )
