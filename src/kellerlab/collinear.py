@@ -21,7 +21,6 @@ from .errors import (
 from .field_linalg import Fp, Matrix, PrimeField, Rationals, generalized_vandermonde
 from .mpoly import _coerce_point, _term_values
 from .polymap import PolyMap
-from .polymatrix import PolyMatrix
 from .unipoly import UniPoly, _line_coefficients, rational_roots
 
 DEFAULT_COLLISION_BUDGET = 10_000_000
@@ -360,8 +359,8 @@ def line_injectivity(polymap: PolyMap, a: Sequence) -> LineInjectivity:
     When p is larger and no duplicate was found, BudgetExceeded is raised.
     Over Q the verdict is exact when some component restricts to degree 1
     (its divided difference is a nonzero constant) or when a counterexample
-    is found; otherwise the search covers rational collision patterns and a
-    finite rational-root candidate grid, and returns injective with
+    is found; otherwise the search covers a finite rational-root candidate
+    grid, evaluating the map once per candidate, and returns injective with
     ``certified`` False, meaning only that no rational counterexample was
     found.
     """
@@ -406,15 +405,6 @@ def _quotient_at(coeffs: tuple, v) -> list:
     return q[::-1]
 
 
-def _canonical_rationals():
-    yield Fraction(0)
-    k = 1
-    while True:
-        yield Fraction(-k)
-        yield Fraction(k)
-        k += 1
-
-
 def _line_injectivity_rational(polymap: PolyMap, direction) -> LineInjectivity:
     """The Q branch of ``line_injectivity``, on the coefficient tuples of
     the restrictions G_i(t) = F_i(t a); the divided difference of G_i is
@@ -429,34 +419,17 @@ def _line_injectivity_rational(polymap: PolyMap, direction) -> LineInjectivity:
         return LineInjectivity(True, None, True)
     pivot = next(g for g in restrictions if len(g) > 1)
 
-    def on_line(s, t):
-        left = polymap.evaluate([s * x for x in direction])
-        right = polymap.evaluate([t * x for x in direction])
-        return left == right
-
-    # collision patterns s = const: the constant must kill every coefficient
-    # of every divided difference viewed as a polynomial in t; the t^0
-    # coefficient of the pivot's is the suffix c_1..c_K
-    for gamma in rational_roots(UniPoly(field, pivot[1:])):
-        if any(any(_quotient_at(g, gamma)) for g in restrictions):
-            continue
-        partner = next(t for t in _canonical_rationals() if t != gamma)
-        if not on_line(gamma, partner):
-            raise TheoremViolation("collision pattern failed the evaluation check")
-        pair = tuple(sorted((gamma, partner), key=field.sort_key))
-        return LineInjectivity(False, pair, True)
-
-    # finite scan: rational roots of the pivot difference at small anchors
+    # finite scan: rational roots of the pivot difference at small anchors;
+    # the pivot has degree at least 2, so each difference ends in its
+    # nonzero top coefficient
     candidates = {Fraction(0), Fraction(1), Fraction(-1)}
     for anchor in (0, 1, -1):
-        special = UniPoly(field, _quotient_at(pivot, anchor))
-        if not special.is_zero():
-            candidates.update(rational_roots(special))
+        candidates.update(rational_roots(UniPoly(field, _quotient_at(pivot, anchor))))
     ordered = sorted(candidates, key=field.sort_key)
-    for i, s in enumerate(ordered):
-        for t in ordered[i + 1 :]:
-            if on_line(s, t):
-                return LineInjectivity(False, (s, t), True)
+    images = [polymap.evaluate([t * x for x in direction]) for t in ordered]
+    for (s, u), (t, v) in itertools.combinations(zip(ordered, images), 2):
+        if u == v:
+            return LineInjectivity(False, (s, t), True)
     return LineInjectivity(True, None, certified=False)
 
 

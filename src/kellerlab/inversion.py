@@ -80,9 +80,10 @@ def normalize_affine(polymap: PolyMap) -> AffineNormalization:
     if polymap.m != polymap.n:
         raise NonSquare(f"{polymap.m}x{polymap.n} map")
     field, n = polymap.field, polymap.n
-    origin = [field.zero] * n
-    constant = polymap.evaluate(origin)
-    linear = polymap.jacobian().evaluate(origin)
+    constant = tuple(c.constant_term() for c in polymap.components)
+    # the Jacobian at the origin: dF_i/dx_j(0) is the x_j coefficient of F_i
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    linear = Matrix(field, [[c.coefficient(e) for e in units] for c in polymap.components], ncols=n)
     if linear.rank() < n:
         raise SingularLinearPart("Jacobian at the origin is singular")
     lin_inv = linear.inverse()

@@ -120,7 +120,7 @@ def pair_reduction(polymap: PolyMap, reduction: KernelReduction) -> PolyMap:
     zeros = [MPoly.zero(field, r)] * (n - r)
     images = list(MPoly.variables(field, r)) + zeros
     leading = reduction.conjugated.components[:r]
-    expected = _substitute_all(leading, images) if n > 0 else leading
+    expected = _substitute_all(leading, images)
     for i in range(r):
         if expected[i] != paired.components[i]:
             raise InconsistentReduction(

@@ -30,6 +30,7 @@ from kellerlab import (
 from kellerlab.errors import (
     ArityMismatch,
     BudgetExceeded,
+    NonSquare,
     PreconditionFailed,
     TheoremViolation,
     ZeroDirection,
@@ -73,6 +74,16 @@ class TestLineRestriction:
     def test_zero_direction_rejected(self):
         with pytest.raises(ZeroDirection):
             line_restriction(PolyMap.identity(QQ, 2), [0, 0], 0)
+
+    @pytest.mark.parametrize(
+        "degrees,message",
+        [([0, 2, 1], "strictly increasing"), ([0, 0, 2], "strictly increasing"), ([0, 1], "does not cover")],
+        ids=["unsorted", "repeated", "uncovered"],
+    )
+    def test_bad_degree_list_rejected(self, degrees, message):
+        F = pmap(F5, 2, "x1^2", "x2")
+        with pytest.raises(PreconditionFailed, match=message):
+            line_restriction(F, [1, 0], 1, degrees=degrees)
 
     def test_reconstruction_matches_restriction(self):
         rng = rng_for("line-reconstruct")
@@ -402,6 +413,20 @@ class TestVerifyGencr:
         with pytest.raises(PreconditionFailed, match="Vandermonde"):
             verify_collision_obstruction(F, self.square_witness((1, 1), (0, 1, 2)))
 
+    @pytest.mark.parametrize(
+        "texts,b,params,degrees,error,message",
+        [
+            (("x1^2", "x2", "x1*x2"), (1, 0), (1, 4), (0, 1, 2), NonSquare, "3x2 map"),
+            (("x1^2", "x2"), (0, 0), (1, 4), (0, 1, 2), ZeroDirection, "nonzero"),
+            (("x1", "x2"), (1, 0), (1,), (0, 1), PreconditionFailed, "differ from 1"),
+        ],
+        ids=["non-square", "zero-direction", "top-degree-1"],
+    )
+    def test_unmet_hypothesis_rejected(self, texts, b, params, degrees, error, message):
+        witness = self.square_witness(params, degrees)._replace(b=tuple(Fp(c, 5) for c in b))
+        with pytest.raises(error, match=message):
+            verify_collision_obstruction(pmap(F5, 2, *texts), witness)
+
 
 class TestLineInjectivity:
     def test_separating_first_coordinate(self):
@@ -421,6 +446,26 @@ class TestLineInjectivity:
         verdict = line_injectivity(F, [1])
         assert verdict.injective
         assert not verdict.certified  # no rational counterexample; not a proof
+
+    def test_uncertified_search_evaluates_each_candidate_once(self, monkeypatch):
+        # one rational-root search per anchor 0, 1, -1; the candidates are
+        # 0, -1, 1 and each image is computed once, in candidate order
+        searched, evaluated = [], []
+        real_roots, real_evaluate = collinear.rational_roots, PolyMap.evaluate
+
+        def counting_roots(poly):
+            searched.append(poly)
+            return real_roots(poly)
+
+        def counting_evaluate(self, point):
+            evaluated.append(tuple(point))
+            return real_evaluate(self, point)
+
+        monkeypatch.setattr(collinear, "rational_roots", counting_roots)
+        monkeypatch.setattr(PolyMap, "evaluate", counting_evaluate)
+        assert line_injectivity(pmap(QQ, 1, "x1 + x1^3"), [1]) == (True, None, False)
+        assert len(searched) == 3
+        assert evaluated == [(0,), (-1,), (1,)]
 
     def test_trivial_line(self):
         F = pmap(QQ, 2, "x1^2", "x2^2")

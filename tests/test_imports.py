@@ -57,10 +57,15 @@ def modules_after_main(argv, cwd):
 
 @pytest.fixture
 def mapfile(tmp_path):
-    """A normalized map (identity linear part, no constant term), and a
+    """A normalized map (identity linear part, no constant term), a map over
+    Q with a constant and a non-identity linear part, a cubic over Q, and a
     matrix file for ``druzkowski``, in one directory."""
     path = tmp_path / "map.json"
     path.write_text(json.dumps({"field": {"Fp": 3}, "nvars": 2, "polys": ["x1 + x2^2", "x2"]}))
+    (tmp_path / "affine.json").write_text(
+        json.dumps({"field": "Q", "nvars": 2, "polys": ["2*x1 + x2 + x2^2 + 1", "x2 - 3"]})
+    )
+    (tmp_path / "cubic.json").write_text(json.dumps({"field": "Q", "nvars": 1, "polys": ["x1 + x1^3"]}))
     (tmp_path / "A.json").write_text(json.dumps([["1", "1"], ["-1", "-1"]]))
     return path
 
@@ -107,8 +112,9 @@ def test_no_openssl_and_no_univariate_polynomials(mapfile, argv):
     assert not names & {"UniPoly", "rational_roots"}
 
 
-# a polynomial matrix is built only as a Jacobian; inverting a normalized
-# map needs none
+# a polynomial matrix is built only as a Jacobian, and neither inversion nor
+# the line check needs one: the affine normalization reads the linear part
+# off the degree-1 coefficients
 @pytest.mark.parametrize(
     "argv",
     [
@@ -116,6 +122,10 @@ def test_no_openssl_and_no_univariate_polynomials(mapfile, argv):
         ["druzkowski", "--matrix", "A.json", "--deg", "2"],
         ["vandermonde", "--points", "1,2", "--degrees", "0,1"],
         ["invert", "map.json"],
+        pytest.param(["invert", "affine.json"], id="invert-affine"),
+        pytest.param(["inverse-degree", "affine.json"], id="inverse-degree-affine"),
+        pytest.param(["line-check", "cubic.json", "--point", "1"], id="line-check-q"),
+        pytest.param(["line-check", "map.json", "--point", "1,0"], id="line-check-fp"),
     ],
     ids=lambda argv: argv[0],
 )

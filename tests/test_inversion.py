@@ -64,6 +64,20 @@ class TestNormalizeAffine:
         assert norm.constant == (Fraction(1), Fraction(0))
         assert norm.core == PolyMap.identity(QQ, 2)
 
+    @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=str)
+    def test_reads_the_jacobian_at_the_origin_without_building_it(self, monkeypatch, field):
+        # over F_3 the cubes have zero derivative and no degree-1 terms alike
+        F = pmap(field, 2, "2*x1 + x2 + x1^3 + x1*x2 + 1", "x2 - x2^3 - 2")
+        expected = F.jacobian().evaluate([0, 0])
+
+        def forbidden(self):
+            raise AssertionError("PolyMap.jacobian called")
+
+        monkeypatch.setattr(PolyMap, "jacobian", forbidden)
+        norm = normalize_affine(F)
+        assert norm.linear == expected
+        assert norm.constant == F.evaluate([0, 0])
+
     def test_singular_linear_part_rejected(self):
         with pytest.raises(SingularLinearPart):
             normalize_affine(pmap(QQ, 2, "x1 + x2", "x1 + x2 + x1^2"))
