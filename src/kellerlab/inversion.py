@@ -66,9 +66,10 @@ def _require_normalized(polymap: PolyMap) -> PolyMap:
     """H for a normalized map x + H; raises for any other map."""
     if polymap.m != polymap.n:
         raise NonSquare(f"{polymap.m}x{polymap.n} map")
-    if not is_normalized(polymap):
+    higher = polymap - PolyMap.identity(polymap.field, polymap.n)
+    if not all(deg >= 2 for c in higher.components for deg in c.degrees()):
         raise NotNormalized("map must be x + H with H of order at least 2")
-    return polymap - PolyMap.identity(polymap.field, polymap.n)
+    return higher
 
 
 def normalize_affine(polymap: PolyMap) -> AffineNormalization:

@@ -14,7 +14,7 @@ from .errors import (
     TheoremViolation,
 )
 from .field_linalg import Matrix, complete_to_basis
-from .mpoly import MPoly, _grlex, _substitute_all
+from .mpoly import MPoly, _substitute_all
 from .polymap import PolyMap, apply_matrix
 from .inversion import _require_normalized, formal_inverse
 
@@ -54,24 +54,20 @@ class DegreeBoundReport(NamedTuple):
 def constant_kernel(polymap: PolyMap) -> Matrix:
     """Basis of the constant vectors annihilated by the Jacobian identically.
 
-    Each Jacobian row gives one linear constraint per monomial: the vector of
-    that monomial's coefficients across the row's entries must kill v.  The
-    stacked constraint matrix turns the polynomial-identity kernel into exact
-    linear algebra.
+    Each component gives one linear constraint per monomial of its partials:
+    the vector of that monomial's coefficients across the n partials must
+    kill v.  The kernel depends only on the row space of the stacked
+    constraints, not on their order, so the polynomial-identity kernel is
+    exact linear algebra on the partials themselves.
     """
     if polymap.m != polymap.n:
         raise NonSquare(f"{polymap.m}x{polymap.n} map")
-    field, n = polymap.field, polymap.n
-    jac = polymap.jacobian()
     rows = []
-    for i in range(polymap.m):
-        monomials = set()
-        for j in range(n):
-            monomials |= set(jac.entry(i, j).terms)
-        for mono in sorted(monomials, key=_grlex, reverse=True):
-            rows.append([jac.entry(i, j).coefficient(mono) for j in range(n)])
-    constraints = Matrix(field, rows, ncols=n)
-    return constraints.kernel_basis()
+    for component in polymap.components:
+        partials = [component.derivative(j) for j in range(polymap.n)]
+        monomials = {mono for partial in partials for mono in partial.terms}
+        rows += [[partial.coefficient(mono) for partial in partials] for mono in monomials]
+    return Matrix(polymap.field, rows, ncols=polymap.n).kernel_basis()
 
 
 def kernel_conjugate(polymap: PolyMap) -> KernelReduction:
@@ -89,13 +85,10 @@ def kernel_conjugate(polymap: PolyMap) -> KernelReduction:
     inner = polymap.compose(PolyMap.linear(transform))
     conjugated = PolyMap(field, n, apply_matrix(transform_inv, inner.components, n))
     r = n - kernel.ncols
-    jac = (conjugated - PolyMap.identity(field, n)).jacobian()
+    higher = (conjugated - PolyMap.identity(field, n)).components if r < n else ()
     for j in range(r, n):
-        for i in range(n):
-            if not jac.entry(i, j).is_zero():
-                raise TheoremViolation(
-                    f"column {j + 1} of the conjugated Jacobian is not zero"
-                )
+        if any(not h.derivative(j).is_zero() for h in higher):
+            raise TheoremViolation(f"column {j + 1} of the conjugated Jacobian is not zero")
     return KernelReduction(T=transform, Tinv=transform_inv, r=r, conjugated=conjugated)
 
 
@@ -130,7 +123,12 @@ def pair_reduction(polymap: PolyMap, reduction: KernelReduction) -> PolyMap:
 
 
 def degree_bound_report(polymap: PolyMap) -> DegreeBoundReport:
-    """Invert with the d^r bound, escalating to d^(n-1) only if it fails.
+    """Invert with the d^r bound, escalating to a larger d^(n-1) if it fails.
+
+    Inverting at bound b finds a polynomial inverse exactly when one of
+    degree at most b exists (the truncated fixpoint is the formal inverse
+    truncated at b), so a failure at d^r settles every smaller bound, and
+    NotInvertibleUpToBound names the largest bound tried.
 
     Needing the escalation while the inverse degree exceeds d^r would refute
     the bound over characteristic zero, so that case raises TheoremViolation
@@ -147,10 +145,10 @@ def degree_bound_report(polymap: PolyMap) -> DegreeBoundReport:
     note = CHAR_P_NOTE if field.characteristic else None
     result = formal_inverse(polymap, max_deg=max(1, bound))
     escalated = not result.is_polynomial
-    if escalated:
-        result = formal_inverse(polymap, max_deg=max(1, gabber))
-        if not result.is_polynomial:
-            raise NotInvertibleUpToBound(f"no polynomial inverse up to degree {max(1, gabber)}")
+    if escalated and gabber > bound:
+        result = formal_inverse(polymap, max_deg=gabber)
+    if not result.is_polynomial:
+        raise NotInvertibleUpToBound(f"no polynomial inverse up to degree {result.bound_used}")
     actual = result.inverse_degree
     if escalated and field.characteristic == 0:
         raise TheoremViolation(

@@ -112,9 +112,10 @@ def test_no_openssl_and_no_univariate_polynomials(mapfile, argv):
     assert not names & {"UniPoly", "rational_roots"}
 
 
-# a polynomial matrix is built only as a Jacobian, and neither inversion nor
-# the line check needs one: the affine normalization reads the linear part
-# off the degree-1 coefficients
+# a polynomial matrix is built only as a Jacobian, and neither inversion,
+# the reduction nor the line check needs one: the affine normalization reads
+# the linear part off the degree-1 coefficients, and the constant kernel and
+# its re-check read single partial derivatives
 @pytest.mark.parametrize(
     "argv",
     [
@@ -124,6 +125,8 @@ def test_no_openssl_and_no_univariate_polynomials(mapfile, argv):
         ["invert", "map.json"],
         pytest.param(["invert", "affine.json"], id="invert-affine"),
         pytest.param(["inverse-degree", "affine.json"], id="inverse-degree-affine"),
+        ["reduce", "map.json"],
+        pytest.param(["reduce", "affine.json"], id="reduce-affine"),
         pytest.param(["line-check", "cubic.json", "--point", "1"], id="line-check-q"),
         pytest.param(["line-check", "map.json", "--point", "1,0"], id="line-check-fp"),
     ],

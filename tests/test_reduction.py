@@ -26,7 +26,7 @@ from kellerlab.errors import (
 from kellerlab.inversion import VERDICT_NOT_UP_TO_BOUND
 from kellerlab.reduction import CHAR_P_NOTE
 
-from conftest import P, pmap, rng_for
+from conftest import P, pmap, random_mpoly, rng_for
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -77,6 +77,34 @@ class TestConstantKernel:
                     H = hadamard_power(A, d)
                     assert constant_kernel(H) == A.kernel_basis()
 
+    def test_matches_the_jacobian_matrix_reference(self):
+        # random maps, some hiding a kernel behind a rank-deficient linear
+        # substitution; exponents reach past p over F_2 and F_3, so some
+        # partials vanish in the characteristic
+        rng = rng_for("constant-kernel-reference")
+        for field in (QQ, PrimeField(2), PrimeField(3), PrimeField(101)):
+            for _ in range(60):
+                n = rng.randint(1, 4)
+                H = PolyMap(field, n, [random_mpoly(rng, field, n, max_deg=6) for _ in range(n)])
+                if rng.random() < 0.5:
+                    H = H.compose(PolyMap.linear(random_rank_deficient(rng, field, n)))
+                assert constant_kernel(H) == reference_constant_kernel(H)
+
+
+def reference_constant_kernel(H):
+    """The constraint rows read off the whole Jacobian matrix, row by row,
+    each row's monomials in descending graded-lex order: the reference for
+    ``constant_kernel``."""
+    jac = H.jacobian()
+    rows = []
+    for i in range(H.m):
+        monomials = set()
+        for j in range(H.n):
+            monomials |= set(jac.entry(i, j).terms)
+        for mono in sorted(monomials, key=lambda e: (sum(e), e), reverse=True):
+            rows.append([jac.entry(i, j).coefficient(mono) for j in range(H.n)])
+    return Matrix(H.field, rows, ncols=H.n).kernel_basis()
+
 
 class TestKernelConjugate:
     def test_worked_example(self):
@@ -117,6 +145,14 @@ class TestKernelConjugate:
             for j in range(red.r, 4):
                 for i in range(4):
                     assert jac.entry(i, j).is_zero()
+
+    def test_nonzero_conjugated_column_is_refused(self, monkeypatch):
+        # fault injection: a basis completion that ignores the kernel
+        # span(e1) leaves x2^2 in the first component, so column 2 of the
+        # conjugated Jacobian is not zero
+        monkeypatch.setattr(reduction, "complete_to_basis", lambda kernel: Matrix.identity(QQ, 2))
+        with pytest.raises(TheoremViolation, match="column 2 of the conjugated Jacobian is not zero"):
+            kernel_conjugate(pmap(QQ, 2, "x1 + x2^2", "x2"))
 
     def test_inverse_degree_is_preserved(self):
         # the worked example x + ((x1+x2)^2, 0) is not invertible (its paired
@@ -198,7 +234,8 @@ class TestDegreeBoundReport:
             degree_bound_report(pmap(QQ, 1, "2*x1"))
 
     def test_not_invertible_propagates(self):
-        with pytest.raises(NotInvertibleUpToBound):
+        # r = n = 1, so d^r = 3 is tried and the smaller d^(n-1) = 1 is not
+        with pytest.raises(NotInvertibleUpToBound, match="up to degree 3$"):
             degree_bound_report(pmap(QQ, 1, "x1 + x1^3"))
 
     @pytest.mark.parametrize(
@@ -212,25 +249,55 @@ class TestDegreeBoundReport:
     )
     def test_escalation(self, monkeypatch, field, failing, outcome):
         # fault injection: the first ``failing`` inversion attempts report
-        # no polynomial inverse, as if the d^r bound were too small
-        bounds = []
-        formal_inverse = reduction.formal_inverse
-
-        def failing_first(polymap, max_deg):
-            bounds.append(max_deg)
-            result = formal_inverse(polymap, max_deg=max_deg)
-            if len(bounds) <= failing:
-                return result._replace(verdict=VERDICT_NOT_UP_TO_BOUND)
-            return result
-
-        monkeypatch.setattr(reduction, "formal_inverse", failing_first)
-        F = pmap(field, 3, "x1", "x2 + x1^2", "x3 + x1*x2")
-        if outcome != "escalated":
+        # no polynomial inverse, as if the d^r bound were too small.  The
+        # map has r = 1, so d^r = 2 and the fallback d^(n-1) = 4 is larger
+        bounds = record_inversions(monkeypatch, failing)
+        F = pmap(field, 3, "x1", "x2 + x1^2", "x3 + x1^2")
+        if outcome == NotInvertibleUpToBound:
+            with pytest.raises(outcome, match="up to degree 4$"):
+                degree_bound_report(F)
+        elif outcome != "escalated":
             with pytest.raises(outcome):
                 degree_bound_report(F)
         else:
             report = degree_bound_report(F)
+            assert (report.r, report.bound, report.gabber_bound) == (1, 2, 4)
             assert report.escalated and report.satisfied
-            assert report.actual_inverse_degree == 3
+            assert report.actual_inverse_degree == 2
             assert report.char_p_note == CHAR_P_NOTE
-        assert bounds == [4, 4]
+        assert bounds == [2, 4]
+
+    @pytest.mark.parametrize(
+        "field,texts,failing",
+        [
+            # d^r = d^(n-1) = 4, failing by fault injection
+            (F5, ("x1", "x2 + x1^2", "x3 + x1*x2"), 2),
+            (QQ, ("x1", "x2 + x1^2", "x3 + x1*x2"), 2),
+            # r = n = 2: d^r = 4 fails for real and d^(n-1) = 2 is smaller
+            (QQ, ("x1 + x1*x2", "x2"), 0),
+        ],
+    )
+    def test_no_escalation_unless_the_bound_grows(self, monkeypatch, field, texts, failing):
+        # a failure at d^r settles every bound up to it: one inversion
+        bounds = record_inversions(monkeypatch, failing)
+        with pytest.raises(NotInvertibleUpToBound, match="up to degree 4$"):
+            degree_bound_report(pmap(field, len(texts), *texts))
+        assert bounds == [4]
+
+
+def record_inversions(monkeypatch, failing):
+    """Wrap ``formal_inverse`` as ``degree_bound_report`` sees it: record
+    each bound tried, and report the first ``failing`` attempts as finding
+    no polynomial inverse."""
+    bounds = []
+    formal_inverse = reduction.formal_inverse
+
+    def failing_first(polymap, max_deg):
+        bounds.append(max_deg)
+        result = formal_inverse(polymap, max_deg=max_deg)
+        if len(bounds) <= failing:
+            return result._replace(verdict=VERDICT_NOT_UP_TO_BOUND)
+        return result
+
+    monkeypatch.setattr(reduction, "formal_inverse", failing_first)
+    return bounds
