@@ -102,10 +102,13 @@ class LineInjectivity(NamedTuple):
 def _direction(polymap: PolyMap, b: Sequence) -> list:
     """The direction ``b`` coerced into the map's field; ArityMismatch unless
     it has one coordinate per variable, checked before anything else about
-    it (a zero direction of the wrong length is still the wrong length)."""
+    it (a zero direction of the wrong length is still the wrong length), and
+    then ZeroDirection when it is zero."""
     direction = [polymap.field.coerce(x) for x in b]
     if len(direction) != polymap.n:
         raise ArityMismatch(f"point of length {len(direction)} for a map on {polymap.n} variables")
+    if all(not x for x in direction):
+        raise ZeroDirection("the line direction must be nonzero")
     return direction
 
 
@@ -118,8 +121,6 @@ def line_restriction(polymap: PolyMap, b: Sequence, base, degrees=None) -> LineD
     """
     field = polymap.field
     direction = _direction(polymap, b)
-    if all(not x for x in direction):
-        raise ZeroDirection("the line direction must be nonzero")
     base = field.coerce(base)
     anchor = polymap.evaluate([base * x for x in direction])
     restrictions = [
@@ -221,8 +222,6 @@ def find_rank_drop(polymap: PolyMap, b: Sequence, params: Sequence, degrees: Seq
     """
     field = polymap.field
     direction = _direction(polymap, b)
-    if all(not x for x in direction):
-        raise ZeroDirection("the line direction must be nonzero")
     values = [field.coerce(a) for a in params]
     if not values:
         raise PreconditionFailed("the parameter list must not be empty")
@@ -327,8 +326,6 @@ def verify_collision_obstruction(polymap: PolyMap, witness: CollisionWitness) ->
     values = [field.coerce(a) for a in witness.params]
     degrees = tuple(witness.degrees)
     direction = _direction(polymap, witness.b)
-    if all(not x for x in direction):
-        raise ZeroDirection("the line direction must be nonzero")
     translated = polymap.translate([field.coerce(c) for c in witness.base])
     images = (translated.evaluate([a * x for x in direction]) for a in values)
     _check_hypotheses(field, values, degrees, images, translated.degree_support())
@@ -365,8 +362,9 @@ def line_injectivity(polymap: PolyMap, a: Sequence) -> LineInjectivity:
     found.
     """
     field = polymap.field
-    direction = _direction(polymap, a)
-    if all(not x for x in direction):
+    try:
+        direction = _direction(polymap, a)
+    except ZeroDirection:
         return LineInjectivity(injective=True, counterexample=None, certified=True)
     if isinstance(field, PrimeField):
         p = field.p

@@ -20,7 +20,7 @@ from .errors import (
     TheoremViolation,
 )
 from .field_linalg import Matrix
-from .mpoly import MPoly, _substitute_all
+from .mpoly import MPoly, _substitute_all, _sum
 from .polymap import PolyMap, apply_matrix, power_linear
 
 VERDICT_POLYNOMIAL = "PolynomialInverse"
@@ -190,11 +190,8 @@ def triangular_inverse(matrix: Matrix, d: int) -> PolyMap:
         raise ValueError("the power must be positive")
     field = matrix.field
     comps: list[MPoly] = []
-    for i in range(n):
-        acc = MPoly.zero(field, n)
-        for j in range(i):
-            if matrix.rows[i][j]:
-                acc = acc + comps[j] * matrix.rows[i][j]
+    for i, row in enumerate(matrix.rows):
+        acc = _sum(field, n, [comps[j] * a for j, a in enumerate(row[:i]) if a])
         comps.append(MPoly.variable(field, n, i) - acc**d)
     inverse = PolyMap(field, n, comps)
     if not verify_inverse(power_linear(matrix, d), inverse):

@@ -6,7 +6,12 @@ runs.
 Canonical form: term maps carry no zero coefficients and iterate in
 graded-lexicographic order (total degree first, then exponent tuple),
 descending.  Two polynomials are equal iff their canonical term maps are
-equal, so ``==`` is exact polynomial identity.
+equal, so ``==`` is exact polynomial identity.  Like terms are merged and
+sorted in one place, ``_combine``: the constructor, ``+``,
+``polymap.apply_matrix`` and every sum of many polynomials (``_sum``: the
+parser's summands, minor expansions, matrix products) pass through it once,
+never one addition at a time.  Products and substitution build canonical
+form in the packed kernel below.
 
 Grammar accepted by :func:`parse` (whitespace insignificant, no implicit
 multiplication):
@@ -77,6 +82,25 @@ from .field_linalg import Field, Fp, power_too_long
 
 def _grlex(exps):
     return (sum(exps), exps)
+
+
+def _combine(acc: dict, items) -> dict:
+    """The canonical term map of ``acc`` with the (exponents, coefficient)
+    pairs of ``items`` added in: like terms summed, zeros dropped, keys
+    sorted graded-lex descending, once.  ``acc`` maps exponent tuples to
+    field elements and is updated in place."""
+    get = acc.get
+    for e, c in items:
+        prev = get(e)
+        acc[e] = c if prev is None else prev + c
+    return {e: acc[e] for e in sorted(acc, key=_grlex, reverse=True) if acc[e]}
+
+
+def _sum(field: Field, nvars: int, polys) -> "MPoly":
+    """The sum of the polynomials, all in the ring of ``nvars`` variables
+    over ``field`` (so an empty sum is its zero), in one merge."""
+    items = (term for poly in polys for term in poly.terms.items())
+    return MPoly._canonical(field, nvars, _combine({}, items))
 
 
 # ---- packed-integer kernel ----------------------------------------------
@@ -296,21 +320,17 @@ class MPoly:
 
     def __init__(self, field: Field, nvars: int, terms=()):
         items = terms.items() if isinstance(terms, dict) else terms
-        acc = {}
+        checked = []
         for exps, c in items:
             exps = tuple(exps)
             if len(exps) != nvars:
                 raise ArityMismatch(f"monomial {exps} in a {nvars}-variable ring")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
-            c = field.coerce(c)
-            if exps in acc:
-                c = acc[exps] + c
-            acc[exps] = c
-        cleaned = {e: c for e, c in acc.items() if c}
+            checked.append((exps, field.coerce(c)))
         self.field = field
         self.nvars = nvars
-        self.terms = {e: cleaned[e] for e in sorted(cleaned, key=_grlex, reverse=True)}
+        self.terms = _combine({}, checked)
 
     @classmethod
     def _canonical(cls, field: Field, nvars: int, terms: dict) -> "MPoly":
@@ -360,13 +380,8 @@ class MPoly:
     def __add__(self, other):
         other = self._as_poly(other)
         self._compat(other)
-        # both term maps are canonical: only a sum can vanish, only the key order changes
-        acc = dict(self.terms)
-        for e, c in other.terms.items():
-            prev = acc.get(e)
-            acc[e] = c if prev is None else prev + c
-        keys = sorted(acc, key=_grlex, reverse=True)
-        return MPoly._canonical(self.field, self.nvars, {e: acc[e] for e in keys if acc[e]})
+        terms = _combine(dict(self.terms), other.terms.items())
+        return MPoly._canonical(self.field, self.nvars, terms)
 
     __radd__ = __add__
 
@@ -608,17 +623,13 @@ class _Parser:
             self.fail(f"integer literal of {self.pos - start} digits is too long to convert", start)
 
     def expr(self) -> MPoly:
-        node = self.term()
-        while True:
-            c = self.peek()
-            if c == "+":
-                self.pos += 1
-                node = node + self.term()
-            elif c == "-":
-                self.pos += 1
-                node = node - self.term()
-            else:
-                return node
+        terms = [self.term()]
+        while self.peek() in ("+", "-"):
+            sign = self.text[self.pos]
+            self.pos += 1
+            term = self.term()
+            terms.append(-term if sign == "-" else term)
+        return terms[0] if len(terms) == 1 else _sum(self.field, self.nvars, terms)
 
     def term(self) -> MPoly:
         node = self.factor()

@@ -9,7 +9,7 @@ from typing import Sequence
 
 from .errors import ArityMismatch, FieldMismatch, NonSquare, NotHomogeneous
 from .field_linalg import Field, Matrix
-from .mpoly import MPoly, _coerce_point, _substitute_all, render
+from .mpoly import MPoly, _coerce_point, _combine, _substitute_all, _sum, render
 
 
 class PolyMap:
@@ -146,19 +146,14 @@ def apply_matrix(matrix: Matrix, polys: Sequence[MPoly], nvars: int) -> list:
 
     Every polynomial is in ``nvars`` variables, which is given explicitly so
     that a matrix without rows or columns still has a ring.  Each row sums
-    the term maps of its nonzero entries in one pass.
+    the scaled terms of its nonzero entries in one merge.
     """
     if len(polys) != matrix.ncols:
         raise ArityMismatch(f"{len(polys)} polynomials for a matrix with {matrix.ncols} columns")
     out = []
     for row in matrix.rows:
-        acc = {}
-        for a, poly in zip(row, polys):
-            if a:
-                for e, c in poly.terms.items():
-                    prev = acc.get(e)
-                    acc[e] = a * c if prev is None else prev + a * c
-        out.append(MPoly(matrix.field, nvars, acc))
+        items = ((e, a * c) for a, poly in zip(row, polys) if a for e, c in poly.terms.items())
+        out.append(MPoly._canonical(matrix.field, nvars, _combine({}, items)))
     return out
 
 
@@ -186,7 +181,6 @@ def euler_check(poly: MPoly, d: int) -> bool:
     """
     if len(poly.degrees()) > 1:
         raise NotHomogeneous("polynomial has terms of several degrees")
-    lhs = MPoly.zero(poly.field, poly.nvars)
-    for j in range(poly.nvars):
-        lhs = lhs + MPoly.variable(poly.field, poly.nvars, j) * poly.derivative(j)
+    xs = MPoly.variables(poly.field, poly.nvars)
+    lhs = _sum(poly.field, poly.nvars, [x * poly.derivative(j) for j, x in enumerate(xs)])
     return lhs == poly * d

@@ -11,7 +11,7 @@ from typing import Sequence
 
 from .errors import ArityMismatch, FieldMismatch, NonSquare
 from .field_linalg import Field, Matrix
-from .mpoly import MPoly, _coerce_point, _substitute_all, render
+from .mpoly import MPoly, _coerce_point, _substitute_all, _sum, render
 
 
 class PolyMatrix:
@@ -65,16 +65,11 @@ class PolyMatrix:
             return NotImplemented
         if self.ncols != other.nrows:
             raise ArityMismatch("polynomial matrix shapes do not match")
-        zero = MPoly.zero(self.field, self.nvars)
-        out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = zero
-                for k in range(self.ncols):
-                    acc = acc + self.grid[i][k] * other.grid[k][j]
-                row.append(acc)
-            out.append(row)
+        cols = list(zip(*other.grid))
+        out = [
+            [_sum(self.field, self.nvars, [a * b for a, b in zip(row, col)]) for col in cols]
+            for row in self.grid
+        ]
         return PolyMatrix(self.field, self.nvars, out)
 
     def det(self) -> MPoly:
@@ -94,19 +89,18 @@ class PolyMatrix:
         if n == 0:
             return MPoly.constant(self.field, self.nvars, 1)
         grid = self.grid
-        zero = MPoly.zero(self.field, self.nvars)
         minors = {(j,): e for j, e in enumerate(grid[-1])}
 
         def minor(cols: tuple) -> MPoly:
             m = minors.get(cols)
             if m is None:
                 row = grid[n - len(cols)]
-                m = zero
+                terms = []
                 for i, j in enumerate(cols):
                     if not row[j].is_zero():
                         term = row[j] * minor(cols[:i] + cols[i + 1 :])
-                        m = m - term if i % 2 else m + term
-                minors[cols] = m
+                        terms.append(-term if i % 2 else term)
+                m = minors[cols] = _sum(self.field, self.nvars, terms)
             return m
 
         return minor(tuple(range(n)))

@@ -7,7 +7,18 @@ from hypothesis import given, settings, strategies as st
 
 import kellerlab.mpoly as mpoly
 import kellerlab.unipoly as unipoly
-from kellerlab import Fp, MPoly, PolyMap, PrimeField, QQ, UniPoly, parse, rational_roots, render
+from kellerlab import (
+    Fp,
+    MPoly,
+    PolyMap,
+    PolyMatrix,
+    PrimeField,
+    QQ,
+    UniPoly,
+    parse,
+    rational_roots,
+    render,
+)
 from kellerlab.errors import (
     ArityMismatch,
     BadIndex,
@@ -754,6 +765,120 @@ class TestRender:
             for _ in range(100):
                 p = random_mpoly(rng, field, rng.randint(1, 3))
                 assert parse(render(p), p.nvars, field) == p
+
+
+def pairwise_terms(field, term_maps):
+    """Reference for every n-ary sum: add the term maps one at a time,
+    merging like terms by hand and sorting graded-lex after each addition,
+    as the pairwise loops did.  Returns the canonical (exponents,
+    coefficient) list."""
+    terms = {}
+    for term_map in term_maps:
+        merged = dict(terms)
+        for e, c in term_map.items():
+            merged[e] = merged.get(e, field.zero) + field.coerce(c)
+        order = sorted(merged, key=lambda e: (sum(e), e), reverse=True)
+        terms = {e: merged[e] for e in order if merged[e]}
+    return list(terms.items())
+
+
+def reference_poly(field, nvars, term_maps):
+    return MPoly(field, nvars, dict(pairwise_terms(field, term_maps)))
+
+
+def reference_det(grid, field, nvars):
+    """Cofactor expansion along the first row, summed pairwise."""
+    if not grid:
+        return MPoly.constant(field, nvars, 1)
+    signed = []
+    for j, entry in enumerate(grid[0]):
+        minor = [row[:j] + row[j + 1 :] for row in grid[1:]]
+        term = entry * reference_det(minor, field, nvars)
+        signed.append((-term if j % 2 else term).terms)
+    return reference_poly(field, nvars, signed)
+
+
+class TestOneMergeSums:
+    """Every n-ary sum (``mpoly._sum``, the constructor, the parser,
+    ``PolyMatrix.det`` and ``@``) gives the terms, in order, that adding
+    the summands one at a time gives."""
+
+    FIELDS = [QQ, F2, F3, F101]
+
+    @staticmethod
+    def summands(rng, field, nvars, count):
+        polys = [random_mpoly(rng, field, nvars, max_terms=5) for _ in range(count)]
+        if polys and rng.random() < 0.3:
+            polys.append(-polys[0])  # a cancellation
+        return polys
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_sum_matches_pairwise_addition(self, field):
+        rng = rng_for(f"one-merge-sum-{field}")
+        for _ in range(60):
+            nvars = rng.randint(1, 3)
+            polys = self.summands(rng, field, nvars, rng.randint(0, 6))
+            total = mpoly._sum(field, nvars, polys)
+            assert list(total.terms.items()) == pairwise_terms(field, [p.terms for p in polys])
+            assert_canonical(total)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_empty_sum_and_full_cancellation_are_zero(self, field):
+        assert mpoly._sum(field, 2, []) == MPoly.zero(field, 2)
+        a = P("x1^2 - 3*x1*x2 + 1", 2, field)
+        assert mpoly._sum(field, 2, [a, -a, a - a]).terms == {}
+        assert parse("x1^2 + 2*x2 - x1^2 - 2*x2", 2, field).terms == {}
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_constructor_merges_duplicate_monomials(self, field):
+        rng = rng_for(f"one-merge-init-{field}")
+        for _ in range(60):
+            nvars = rng.randint(1, 3)
+            pool = [tuple(rng.randint(0, 2) for _ in range(nvars)) for _ in range(3)]
+            items = [(rng.choice(pool), rng.randint(-4, 4)) for _ in range(rng.randint(0, 8))]
+            built = MPoly(field, nvars, items)
+            assert list(built.terms.items()) == pairwise_terms(field, [{e: c} for e, c in items])
+            assert_canonical(built)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_parsed_sum_matches_pairwise_addition(self, field):
+        rng = rng_for(f"one-merge-parse-{field}")
+        for _ in range(40):
+            nvars = rng.randint(1, 3)
+            polys = [p for p in self.summands(rng, field, nvars, rng.randint(1, 6)) if p.terms]
+            if not polys:
+                continue
+            signs = [rng.choice("+-") for _ in polys]
+            text = " ".join(f"{s} ({render(p)})" for s, p in zip(signs, polys)).removeprefix("+ ")
+            signed = [(-p if s == "-" else p).terms for s, p in zip(signs, polys)]
+            parsed = parse(text, nvars, field)
+            assert list(parsed.terms.items()) == pairwise_terms(field, signed)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_det_and_product_match_pairwise_addition(self, field):
+        rng = rng_for(f"one-merge-matrix-{field}")
+        for _ in range(12):
+            nvars, size = rng.randint(1, 2), rng.randint(1, 4)
+            grid = [[random_mpoly(rng, field, nvars, max_deg=2) for _ in range(size)] for _ in range(size)]
+            other = [[random_mpoly(rng, field, nvars, max_deg=2) for _ in range(size)] for _ in range(size)]
+            a, b = PolyMatrix(field, nvars, grid), PolyMatrix(field, nvars, other)
+            det = a.det()
+            assert list(det.terms.items()) == list(reference_det(grid, field, nvars).terms.items())
+            product = a @ b
+            for i in range(size):
+                for j in range(size):
+                    products = [(grid[i][k] * other[k][j]).terms for k in range(size)]
+                    assert list(product.entry(i, j).terms.items()) == pairwise_terms(field, products)
+
+    def test_parsing_many_summands_adds_no_polynomials(self, monkeypatch):
+        calls = []
+        add = MPoly.__add__
+        monkeypatch.setattr(MPoly, "__add__", lambda a, b: calls.append(1) or add(a, b))
+        monkeypatch.setattr(MPoly, "__radd__", lambda a, b: calls.append(1) or add(a, b))
+        text = " + ".join(f"{k}*x1^{k % 7}*x2^{k % 5} - x3^{k}" for k in range(1, 26))
+        poly = parse(text, 3, QQ)
+        assert len(poly.terms) == 50
+        assert calls == []
 
 
 class TestExactDiv:
