@@ -6,8 +6,9 @@ condition, bounded formal inversion with sharp degree bounds for power-linear
 maps, kernel-based reductions, and collinear-collision certificates over
 prime fields.
 
-The public names below load their module on first use (PEP 562), so
-``import kellerlab`` itself imports nothing else.
+The public names below load their module on first use and are looked up in
+it on every use (PEP 562), so ``import kellerlab`` itself imports nothing
+else and a name replaced in its module reads as the replacement here.
 """
 
 __version__ = "0.1.0"
@@ -105,9 +106,7 @@ def __getattr__(name):
     from importlib import import_module
 
     module = import_module(f".{module_name}", __name__)
-    value = module if name == module_name else getattr(module, name)
-    globals()[name] = value
-    return value
+    return module if name == module_name else getattr(module, name)
 
 
 def __dir__():

@@ -25,13 +25,9 @@ import json
 import sys
 from fractions import Fraction
 
-from . import __version__
-from .errors import (
-    KellerlabError,
-    ParseError,
-    PreconditionError,
-    TheoremViolation,
-)
+import kellerlab
+
+from .errors import KellerlabError, ParseError, TheoremViolation
 from .field_linalg import (
     Field,
     Fp,
@@ -46,31 +42,15 @@ from .mpoly import MAX_POWER_TERMS, MPoly, power_term_bound, render
 from .mpoly import parse as parse_poly
 from .polymap import PolyMap, power_linear
 
-# Handlers import from these modules when they run, so a process loads only
-# its own subcommand's modules and looks each function up at call time (a
-# wrapper installed on the defining module is what runs).  The names stay
-# readable as attributes of this module.
-_DEFERRED = {
-    "invert_polymap": "inversion",
-    "inverse_degree": "inversion",
-    "is_normalized": "inversion",
-    "normalize_affine": "inversion",
-    "degree_bound_report": "reduction",
-    "kernel_conjugate": "reduction",
-    "pair_reduction": "reduction",
-    "collision_search": "collinear",
-    "find_rank_drop": "collinear",
-    "line_injectivity": "collinear",
-}
-
-
+# Handlers call the library as ``kellerlab.<name>``: the package loads a
+# module on first use and looks the name up in it on every call, so a process
+# loads only its own subcommand's modules and a wrapper installed on the
+# defining module is what runs.  Every public name of the package stays
+# readable as an attribute of this module.
 def __getattr__(name):
-    module = _DEFERRED.get(name)
-    if module is None:
+    if name not in kellerlab.__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    return getattr(import_module(f".{module}", __package__), name)
+    return getattr(kellerlab, name)
 
 
 class _UsageError(Exception):
@@ -226,17 +206,13 @@ def _cmd_keller(args):
 def _cmd_invert(args):
     if args.max_deg is not None and args.max_deg < 1:
         raise _UsageError("--max-deg must be at least 1")
-    from .inversion import invert_polymap
-
     polymap, raw = load_mapfile(args.mapfile)
-    return invert_polymap(polymap, args.max_deg), raw
+    return kellerlab.invert_polymap(polymap, args.max_deg), raw
 
 
 def _cmd_inverse_degree(args):
-    from .inversion import inverse_degree
-
     polymap, raw = load_mapfile(args.mapfile)
-    return {"degree": inverse_degree(polymap)}, raw
+    return {"degree": kellerlab.inverse_degree(polymap)}, raw
 
 
 def _cmd_druzkowski(args):
@@ -253,46 +229,37 @@ def _cmd_druzkowski(args):
 
 
 def _cmd_reduce(args):
-    from .inversion import is_normalized, normalize_affine
-    from .reduction import degree_bound_report, kernel_conjugate, pair_reduction
-
     polymap, raw = load_mapfile(args.mapfile)
-    normalized_first = not is_normalized(polymap)
-    core = normalize_affine(polymap).core if normalized_first else polymap
-    reduction = kernel_conjugate(core)
-    paired = pair_reduction(core, reduction)
-    report = degree_bound_report(core)
+    normalized_first = not kellerlab.is_normalized(polymap)
+    core = kellerlab.normalize_affine(polymap).core if normalized_first else polymap
+    reduction = kellerlab.kernel_conjugate(core)
+    paired = kellerlab.pair_reduction(core, reduction)
+    report = kellerlab.degree_bound_report(core)
     return {**reduction._asdict(), "normalized_first": normalized_first, "paired": paired, "report": report}, raw
 
 
 def _cmd_line_check(args):
-    from .collinear import line_injectivity
-
     polymap, raw = load_mapfile(args.mapfile)
     point = _scalars(args.point, polymap.field)
-    return line_injectivity(polymap, point), raw
+    return kellerlab.line_injectivity(polymap, point), raw
 
 
 def _cmd_rank_drop(args):
-    from .collinear import find_rank_drop
-
     polymap, raw = load_mapfile(args.mapfile)
     direction = _scalars(args.dir, polymap.field)
     params = _scalars(args.params, polymap.field)
     degrees = _ints(args.degrees) if args.degrees else list(range(len(params) + 1))
     # the Vandermonde check raises the params to the first len(params) degrees
     _refuse_long_powers(params, degrees[: len(params)], "parameter")
-    result = find_rank_drop(polymap, direction, params, degrees)
+    result = kellerlab.find_rank_drop(polymap, direction, params, degrees)
     return {**result._asdict(), "found": result.found}, raw
 
 
 def _cmd_collide(args):
     if args.r < 2:
         raise _UsageError("-r must be at least 2")
-    from .collinear import collision_search
-
     polymap, raw = load_mapfile(args.mapfile)
-    witnesses = collision_search(polymap, args.r, args.budget)
+    witnesses = kellerlab.collision_search(polymap, args.r, args.budget)
     return {"count": len(witnesses), "witnesses": witnesses}, raw
 
 
@@ -309,7 +276,7 @@ def _cmd_vandermonde(args):
 
 def build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="kellerlab", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"kellerlab {__version__}")
+    parser.add_argument("--version", action="version", version=f"kellerlab {kellerlab.__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, handler, help_text):
@@ -390,14 +357,9 @@ def main(argv=None) -> int:
         payload, raw = args.handler(args)
     except _UsageError as exc:
         return _emit_error("UsageError", str(exc), 1)
-    except ParseError as exc:
-        return _emit_error(type(exc).__name__, str(exc), 1)
-    except TheoremViolation as exc:
-        return _emit_error("TheoremViolation", str(exc), 3)
-    except PreconditionError as exc:
-        return _emit_error(type(exc).__name__, str(exc), 2)
-    except KellerlabError as exc:  # pragma: no cover - defensive
-        return _emit_error(type(exc).__name__, str(exc), 2)
+    except KellerlabError as exc:
+        code = 1 if isinstance(exc, ParseError) else 3 if isinstance(exc, TheoremViolation) else 2
+        return _emit_error(type(exc).__name__, str(exc), code)
     try:
         report = _json(payload)
         if args.command != "druzkowski":  # its output is a loadable map file: no envelope

@@ -156,8 +156,9 @@ def rational_roots(poly: UniPoly) -> list:
     if len(coeffs) > 1:
         scale = lcm(*[c.denominator for c in coeffs])
         ints = [int(c * scale) for c in coeffs]
+        leading = _divisors(abs(ints[-1]))
         for p in _divisors(abs(ints[0])):
-            for q in _divisors(abs(ints[-1])):
+            for q in leading:
                 if gcd(p, q) != 1:
                     continue
                 for cand in (Fraction(p, q), Fraction(-p, q)):

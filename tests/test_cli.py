@@ -28,7 +28,7 @@ from kellerlab import (
     parse,
 )
 from kellerlab.cli import _digest, _json, main
-from kellerlab.errors import TheoremViolation
+from kellerlab.errors import KellerlabError, ParseError, PreconditionError, TheoremViolation
 from kellerlab.mpoly import MAX_NESTING, MAX_POWER_TERMS
 from kellerlab.polymatrix import PolyMatrix
 
@@ -571,6 +571,33 @@ class TestErrorPaths:
         payload = json.loads(err)
         assert payload["error"] == "TheoremViolation"
         assert payload["exit_code"] == 3
+
+    class Refused(PreconditionError):
+        pass
+
+    class Unreadable(ParseError):
+        pass
+
+    @pytest.mark.parametrize(
+        "error, code",
+        [(KellerlabError, 2), (Refused, 2), (Unreadable, 1)],
+        ids=lambda v: getattr(v, "__name__", None),
+    )
+    def test_every_library_error_maps_to_its_exit_code(self, tmp_path, capsys, monkeypatch, error, code):
+        # a ParseError is exit 1, a TheoremViolation 3, and any other library
+        # error 2, reported under its own class name
+        import kellerlab.inversion as inversion_module
+
+        def refuse(polymap, max_deg=None):
+            raise error("injected")
+
+        monkeypatch.setattr(inversion_module, "invert_polymap", refuse)
+        path = write(tmp_path, "map.json", {"field": "Q", "nvars": 1, "polys": ["x1"]})
+        assert run(capsys, ["invert", path]) == (
+            code,
+            "",
+            json.dumps({"error": error.__name__, "exit_code": code, "message": "injected"}) + "\n",
+        )
 
     @pytest.mark.parametrize("site", ["reconstruct", "recomposed"])
     def test_failed_inversion_check_is_exit_3(self, tmp_path, capsys, monkeypatch, site):

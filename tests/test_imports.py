@@ -182,11 +182,36 @@ def test_every_public_name_resolves_and_is_listed_by_dir():
 def test_handler_names_stay_readable_on_the_cli_module():
     from kellerlab import cli, collinear, inversion, reduction
 
-    assert cli.invert_polymap is inversion.invert_polymap
-    assert cli.kernel_conjugate is reduction.kernel_conjugate
-    assert cli.collision_search is collinear.collision_search
-    with pytest.raises(AttributeError):
-        cli.no_such_name
+    handlers = {
+        inversion: ("invert_polymap", "inverse_degree", "is_normalized", "normalize_affine"),
+        reduction: ("degree_bound_report", "kernel_conjugate", "pair_reduction"),
+        collinear: ("collision_search", "find_rank_drop", "line_injectivity"),
+    }
+    for module, names in handlers.items():
+        for name in names:
+            assert getattr(cli, name) is getattr(module, name), name
+
+
+@pytest.mark.parametrize("name", ["__path__", "__all__", "no_such_name"])
+def test_cli_module_reads_only_the_package_public_names(name):
+    from kellerlab import cli
+
+    with pytest.raises(AttributeError, match=f"^module 'kellerlab.cli' has no attribute '{name}'$"):
+        getattr(cli, name)
+
+
+def test_handlers_run_the_function_now_bound_in_its_module(mapfile, monkeypatch, capsys):
+    """The package looks each name up in its module on every use, so a
+    function replaced after a first read is the one the CLI runs."""
+    from kellerlab import cli, inversion
+
+    assert kellerlab.invert_polymap is inversion.invert_polymap
+    calls = []
+    original = inversion.invert_polymap
+    monkeypatch.setattr(inversion, "invert_polymap", lambda *args: calls.append(args) or original(*args))
+    assert cli.main(["invert", str(mapfile)]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "PolynomialInverse"
+    assert len(calls) == 1
 
 
 def test_no_module_imports_dataclasses():

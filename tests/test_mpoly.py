@@ -932,3 +932,12 @@ class TestRationalRoots:
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
             rational_roots(UniPoly.zero(QQ))
+
+    def test_divisors_of_each_end_coefficient_found_once(self, monkeypatch):
+        # 720720 has 240 divisors: listing 10^11's divisors per candidate
+        # numerator would make 241 calls
+        calls = []
+        divisors = unipoly._divisors
+        monkeypatch.setattr(unipoly, "_divisors", lambda n: calls.append(n) or divisors(n))
+        assert rational_roots(UniPoly(QQ, [720720, 0, 10**11])) == []
+        assert sorted(calls) == [720720, 10**11]
