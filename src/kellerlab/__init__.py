@@ -39,18 +39,8 @@ _EXPORTS = {
         "TheoremViolation",
         "ZeroDirection",
     ),
-    "field_linalg": (
-        "Field",
-        "Fp",
-        "Matrix",
-        "PrimeField",
-        "QQ",
-        "Rationals",
-        "complete_to_basis",
-        "generalized_vandermonde",
-        "is_prime",
-        "parse_scalar",
-    ),
+    "scalars": ("Field", "Fp", "PrimeField", "QQ", "Rationals", "is_prime", "parse_scalar"),
+    "field_linalg": ("Matrix", "complete_to_basis", "generalized_vandermonde"),
     "mpoly": ("MPoly", "parse", "render"),
     "unipoly": ("UniPoly", "rational_roots"),
     "polymap": ("PolyMap", "euler_check", "hadamard_power", "power_linear"),

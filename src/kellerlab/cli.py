@@ -23,24 +23,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 import kellerlab
 
 from .errors import KellerlabError, ParseError, TheoremViolation
-from .field_linalg import (
-    Field,
-    Fp,
-    Matrix,
-    PrimeField,
-    QQ,
-    generalized_vandermonde,
-    parse_scalar,
-    power_too_long,
-)
 from .mpoly import MAX_POWER_TERMS, MPoly, power_term_bound, render
 from .mpoly import parse as parse_poly
 from .polymap import PolyMap, power_linear
+from .scalars import Field, Fp, PrimeField, QQ, _loaded, parse_scalar, power_too_long
 
 # Handlers call the library as ``kellerlab.<name>``: the package loads a
 # module on first use and looks the name up in it on every call, so a process
@@ -124,6 +114,8 @@ def load_mapfile(path: str):
 
 
 def load_matrixfile(path: str, field: Field) -> Matrix:
+    from .field_linalg import Matrix
+
     data, _raw = _load_json(path)
     if not isinstance(data, list) or not all(
         isinstance(row, list) and all(isinstance(e, str) for e in row) for row in data
@@ -157,10 +149,11 @@ def _refuse_long_powers(points: list, degrees: list, noun: str) -> None:
 
 def _json(value):
     """The report form of a library value; any type not listed is a
-    TypeError.  Field elements, plain containers and result types are
-    tested by exact type first: they are most of every report."""
+    TypeError.  Residues, plain containers and result types are tested by
+    exact type first: they are most of every report.  The other classes
+    are recognised without loading their modules."""
     kind = type(value)
-    if kind is Fp or kind is Fraction:
+    if kind is Fp:
         return str(value)
     if value is None or kind in (bool, int, str):
         return value
@@ -170,21 +163,19 @@ def _json(value):
         return dict(zip(value._fields, map(_json, value)))
     if kind is dict:
         return dict(zip(value, map(_json, value.values())))
+    if isinstance(value, _loaded("fractions", "Fraction")):
+        return str(value)
     if isinstance(value, MPoly):
         return render(value)
     if isinstance(value, PolyMap):
         return [render(c) for c in value.components]
-    if isinstance(value, Matrix):
-        return _json(value.rows)
     if isinstance(value, Field):
         return {"Fp": value.p} if isinstance(value, PrimeField) else "Q"
-    # a PolyMatrix or UniPoly exists only once its module is loaded, so the
-    # classes are looked up among the loaded modules: converting loads none
-    polymatrix = sys.modules.get(f"{__package__}.polymatrix")
-    if polymatrix is not None and isinstance(value, polymatrix.PolyMatrix):
+    if isinstance(value, _loaded("kellerlab.field_linalg", "Matrix")):
+        return _json(value.rows)
+    if isinstance(value, _loaded("kellerlab.polymatrix", "PolyMatrix")):
         return _json(value.grid)
-    unipoly = sys.modules.get(f"{__package__}.unipoly")
-    if unipoly is not None and isinstance(value, unipoly.UniPoly):
+    if isinstance(value, _loaded("kellerlab.unipoly", "UniPoly")):
         return value.render()
     raise TypeError(f"no report form for a {kind.__name__}")
 
@@ -248,7 +239,7 @@ def _cmd_rank_drop(args):
     polymap, raw = load_mapfile(args.mapfile)
     direction = _scalars(args.dir, polymap.field)
     params = _scalars(args.params, polymap.field)
-    degrees = _ints(args.degrees) if args.degrees else list(range(len(params) + 1))
+    degrees = list(range(len(params) + 1)) if args.degrees is None else _ints(args.degrees)
     # the Vandermonde check raises the params to the first len(params) degrees
     _refuse_long_powers(params, degrees[: len(params)], "parameter")
     result = kellerlab.find_rank_drop(polymap, direction, params, degrees)
@@ -270,61 +261,78 @@ def _cmd_vandermonde(args):
     if any(d < 0 for d in degrees):
         raise ParseError("degrees must be nonnegative")
     _refuse_long_powers(points, degrees, "point")
+    from .field_linalg import generalized_vandermonde
+
     matrix = generalized_vandermonde(field, points, degrees)
     return {"matrix": matrix, "rank": matrix.rank()}, None
 
 
-def build_parser() -> _ArgumentParser:
+def _arg(*names, **options):
+    """One ``add_argument`` call, as a row of ``_COMMANDS``."""
+    return names, options
+
+
+_MAPFILE = _arg("mapfile")
+_FIELD = _arg("--field", default="Q", help="Q (default) or Fp:<prime>")
+
+# subcommand -> handler, help text, arguments
+_COMMANDS = {
+    "jacobian": (_cmd_jacobian, "Jacobian matrix of a map", [_MAPFILE]),
+    "keller": (_cmd_keller, "Jacobian determinant and the Keller condition", [_MAPFILE]),
+    "invert": (
+        _cmd_invert,
+        "bounded polynomial inversion",
+        [_MAPFILE, _arg("--max-deg", type=_int, default=None, dest="max_deg")],
+    ),
+    "inverse-degree": (_cmd_inverse_degree, "degree of the verified inverse", [_MAPFILE]),
+    "druzkowski": (
+        _cmd_druzkowski,
+        "emit the power-linear map x + (Ax)^{*d}",
+        [_arg("--matrix", required=True), _arg("--deg", type=_int, required=True), _FIELD],
+    ),
+    "reduce": (_cmd_reduce, "kernel conjugation, paired map, degree bounds", [_MAPFILE]),
+    "line-check": (
+        _cmd_line_check,
+        "injectivity on the line through a point",
+        [_MAPFILE, _arg("--point", required=True, help="comma-separated scalars")],
+    ),
+    "rank-drop": (
+        _cmd_rank_drop,
+        "rank-drop parameter along a line",
+        [
+            _MAPFILE,
+            _arg("--dir", required=True, help="comma-separated direction vector"),
+            _arg("--params", required=True, help="comma-separated collision parameters"),
+            _arg("--degrees", default=None, help="comma-separated degree list (default 0..r)"),
+        ],
+    ),
+    "collide": (
+        _cmd_collide,
+        "exhaustive collinear collision search",
+        [_MAPFILE, _arg("-r", type=_int, required=True), _arg("--budget", type=_int, default=None)],
+    ),
+    "vandermonde": (
+        _cmd_vandermonde,
+        "generalized Vandermonde matrix and rank",
+        [_arg("--points", required=True), _arg("--degrees", required=True), _FIELD],
+    ),
+}
+
+
+def build_parser(argv=()) -> _ArgumentParser:
+    """The parser for ``argv``: with only the subparser that ``argv[0]``
+    names, or with all ten when it names none, for ``--help``,
+    ``--version`` and the error that lists the subcommands."""
     parser = _ArgumentParser(prog="kellerlab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"kellerlab {kellerlab.__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, help_text):
+    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    for name in names:
+        handler, help_text, arguments = _COMMANDS[name]
         cmd = sub.add_parser(name, help=help_text)
         cmd.set_defaults(handler=handler)
-        return cmd
-
-    cmd = add("jacobian", _cmd_jacobian, "Jacobian matrix of a map")
-    cmd.add_argument("mapfile")
-
-    cmd = add("keller", _cmd_keller, "Jacobian determinant and the Keller condition")
-    cmd.add_argument("mapfile")
-
-    cmd = add("invert", _cmd_invert, "bounded polynomial inversion")
-    cmd.add_argument("mapfile")
-    cmd.add_argument("--max-deg", type=_int, default=None, dest="max_deg")
-
-    cmd = add("inverse-degree", _cmd_inverse_degree, "degree of the verified inverse")
-    cmd.add_argument("mapfile")
-
-    cmd = add("druzkowski", _cmd_druzkowski, "emit the power-linear map x + (Ax)^{*d}")
-    cmd.add_argument("--matrix", required=True)
-    cmd.add_argument("--deg", type=_int, required=True)
-    cmd.add_argument("--field", default="Q", help="Q (default) or Fp:<prime>")
-
-    cmd = add("reduce", _cmd_reduce, "kernel conjugation, paired map, degree bounds")
-    cmd.add_argument("mapfile")
-
-    cmd = add("line-check", _cmd_line_check, "injectivity on the line through a point")
-    cmd.add_argument("mapfile")
-    cmd.add_argument("--point", required=True, help="comma-separated scalars")
-
-    cmd = add("rank-drop", _cmd_rank_drop, "rank-drop parameter along a line")
-    cmd.add_argument("mapfile")
-    cmd.add_argument("--dir", required=True, help="comma-separated direction vector")
-    cmd.add_argument("--params", required=True, help="comma-separated collision parameters")
-    cmd.add_argument("--degrees", default=None, help="comma-separated degree list (default 0..r)")
-
-    cmd = add("collide", _cmd_collide, "exhaustive collinear collision search")
-    cmd.add_argument("mapfile")
-    cmd.add_argument("-r", type=_int, required=True)
-    cmd.add_argument("--budget", type=_int, default=None)
-
-    cmd = add("vandermonde", _cmd_vandermonde, "generalized Vandermonde matrix and rank")
-    cmd.add_argument("--points", required=True)
-    cmd.add_argument("--degrees", required=True)
-    cmd.add_argument("--field", default="Q", help="Q (default) or Fp:<prime>")
-
+        for flags, options in arguments:
+            cmd.add_argument(*flags, **options)
     return parser
 
 
@@ -351,7 +359,7 @@ def _emit_error(kind: str, message: str, code: int) -> int:
 
 def main(argv=None) -> int:
     tokens = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = build_parser(tokens)
     try:
         args = parser.parse_args(tokens)
         payload, raw = args.handler(args)

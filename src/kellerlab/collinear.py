@@ -6,7 +6,6 @@ injectivity, and exhaustive collinear-collision search over prime fields.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import comb
 from typing import NamedTuple, Optional, Sequence
 
@@ -18,7 +17,7 @@ from .errors import (
     TheoremViolation,
     ZeroDirection,
 )
-from .field_linalg import Fp, Matrix, PrimeField, Rationals, generalized_vandermonde
+from .scalars import Fp, PrimeField
 from .mpoly import _coerce_point, _term_values
 from .polymap import PolyMap
 from .unipoly import UniPoly, _line_coefficients, rational_roots
@@ -119,6 +118,8 @@ def line_restriction(polymap: PolyMap, b: Sequence, base, degrees=None) -> LineD
     callers may pass a covering list instead (for the uses that fix the list
     ahead of time).
     """
+    from .field_linalg import Matrix
+
     field = polymap.field
     direction = _direction(polymap, b)
     base = field.coerce(base)
@@ -173,6 +174,8 @@ def _check_hypotheses(field, values: list, degrees: tuple, images, support=None)
             )
     if len(set(images)) > 1:
         raise PreconditionFailed("the map takes different values at the given points")
+    from .field_linalg import generalized_vandermonde
+
     if generalized_vandermonde(field, values, degrees[:r]).rank() != r:
         raise PreconditionFailed("the generalized Vandermonde matrix does not have full rank")
 
@@ -407,6 +410,8 @@ def _line_injectivity_rational(polymap: PolyMap, direction) -> LineInjectivity:
     """The Q branch of ``line_injectivity``, on the coefficient tuples of
     the restrictions G_i(t) = F_i(t a); the divided difference of G_i is
     zero iff G_i is constant and a nonzero constant iff deg G_i = 1."""
+    from fractions import Fraction
+
     field = polymap.field
     restrictions = [c.restrict_to_line(direction).coeffs for c in polymap.components]
     if all(len(g) <= 1 for g in restrictions):

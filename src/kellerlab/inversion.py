@@ -19,7 +19,6 @@ from .errors import (
     SingularLinearPart,
     TheoremViolation,
 )
-from .field_linalg import Matrix
 from .mpoly import MPoly, _substitute_all, _sum
 from .polymap import PolyMap, apply_matrix, power_linear
 
@@ -78,6 +77,8 @@ def normalize_affine(polymap: PolyMap) -> AffineNormalization:
     The core has identity linear part and no constant part, and the exact
     reconstruction F = L * core + c is re-checked before returning.
     """
+    from .field_linalg import Matrix
+
     if polymap.m != polymap.n:
         raise NonSquare(f"{polymap.m}x{polymap.n} map")
     field, n = polymap.field, polymap.n

@@ -65,7 +65,6 @@ all of its entries there.
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 from math import comb, gcd, lcm, prod
 from typing import Sequence
 
@@ -77,7 +76,7 @@ from .errors import (
     FieldMismatch,
     ParseError,
 )
-from .field_linalg import Field, Fp, power_too_long
+from .scalars import Field, Fp, power_too_long
 
 
 def _grlex(exps):
@@ -248,10 +247,10 @@ def _unpack(packed: tuple, field: Field, nvars: int, width: int) -> "MPoly":
     p = field.characteristic
     if p:
         values = [Fp(c, p) for c in coeffs]
-    elif den == 1:
-        values = [Fraction(c) for c in coeffs]
     else:
-        values = [Fraction(c, den) for c in coeffs]
+        from fractions import Fraction
+
+        values = [Fraction(c) for c in coeffs] if den == 1 else [Fraction(c, den) for c in coeffs]
     terms = {
         tuple([k >> s & mask for s in shifts]): c for k, c in zip(reversed(keys), reversed(values))
     }

@@ -8,7 +8,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import ArityMismatch, FieldMismatch, NonSquare, NotHomogeneous
-from .field_linalg import Field, Matrix
+from .scalars import Field
 from .mpoly import MPoly, _coerce_point, _combine, _substitute_all, _sum, render
 
 

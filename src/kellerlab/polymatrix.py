@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import ArityMismatch, FieldMismatch, NonSquare
-from .field_linalg import Field, Matrix
+from .scalars import Field
 from .mpoly import MPoly, _coerce_point, _substitute_all, _sum, render
 
 
@@ -46,6 +46,8 @@ class PolyMatrix:
         return "[" + "; ".join(", ".join(render(e) for e in row) for row in self.grid) + "]"
 
     def evaluate(self, point: Sequence) -> Matrix:
+        from .field_linalg import Matrix
+
         if len(point) != self.nvars:
             raise ArityMismatch(f"point of length {len(point)} in {self.nvars} variables")
         vals = _coerce_point(self.field, point)

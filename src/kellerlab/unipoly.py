@@ -10,12 +10,11 @@ int residues over F_p.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Sequence
 
 from .errors import FieldMismatch
-from .field_linalg import Field, Fp, Rationals
+from .scalars import Field, Fp, Rationals
 from .mpoly import _format_term
 
 
@@ -145,6 +144,8 @@ def rational_roots(poly: UniPoly) -> list:
         raise FieldMismatch("rational root search needs a polynomial over Q")
     if poly.is_zero():
         raise ValueError("the zero polynomial vanishes everywhere")
+    from fractions import Fraction
+
     roots = set()
     coeffs = list(poly.coeffs)
     shift = 0

@@ -726,6 +726,82 @@ class TestNumbersTooLongToConvert:
             main(["keller", path])
 
 
+
+# recorded before the parser was built one subcommand at a time; none of
+# these can be a golden entry, whose first argument names a subcommand
+TOP_LEVEL_HELP = """\
+usage: kellerlab [-h] [--version]
+                 {jacobian,keller,invert,inverse-degree,druzkowski,reduce,line-check,rank-drop,collide,vandermonde}
+                 ...
+
+Command-line front end: parse map files, dispatch to the library, emit
+deterministic JSON reports. Each report is a library result written out: a
+result type as an object keyed by its fields, a scalar as its canonical text
+("-1/3", or a residue 0..p-1), a polynomial in the map-file grammar, a matrix
+as nested arrays. Exit codes: 0 success, 1 usage or parse errors (also a
+report with a number too long to convert to text), 2 violated preconditions, 3
+a failed theorem conclusion (an implementation bug; CI-fatal). Reports go to
+stdout, structured errors to stderr; every run with identical inputs produces
+byte-identical output (keys sorted, orderings fixed). Map file schema::
+{"field": "Q" | {"Fp": p}, "nvars": n, "polys": ["expr", ...]} Matrix files
+are JSON arrays of arrays of scalar strings ("2", "-1/3").
+
+positional arguments:
+  {jacobian,keller,invert,inverse-degree,druzkowski,reduce,line-check,rank-drop,collide,vandermonde}
+    jacobian            Jacobian matrix of a map
+    keller              Jacobian determinant and the Keller condition
+    invert              bounded polynomial inversion
+    inverse-degree      degree of the verified inverse
+    druzkowski          emit the power-linear map x + (Ax)^{*d}
+    reduce              kernel conjugation, paired map, degree bounds
+    line-check          injectivity on the line through a point
+    rank-drop           rank-drop parameter along a line
+    collide             exhaustive collinear collision search
+    vandermonde         generalized Vandermonde matrix and rank
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+"""
+
+COLLIDE_HELP = """\
+usage: kellerlab collide [-h] -r R [--budget BUDGET] mapfile
+
+positional arguments:
+  mapfile
+
+options:
+  -h, --help       show this help message and exit
+  -r R
+  --budget BUDGET
+"""
+
+CHOICES = "'jacobian', 'keller', 'invert', 'inverse-degree', 'druzkowski', 'reduce', 'line-check', 'rank-drop', 'collide', 'vandermonde'"
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        ([], 1, "", '{"error": "UsageError", "exit_code": 1, "message": '
+         '"the following arguments are required: command"}\n'),
+        (["no-such-command"], 1, "", '{"error": "UsageError", "exit_code": 1, "message": '
+         f'"argument command: invalid choice: \'no-such-command\' (choose from {CHOICES})"}}\n'),
+        (["--help"], 0, TOP_LEVEL_HELP, ""),
+        (["collide", "--help"], 0, COLLIDE_HELP, ""),
+        (["--version"], 0, "kellerlab 0.1.0\n", ""),
+    ],
+    ids=["no-arguments", "unknown-subcommand", "help", "collide-help", "version"],
+)
+def test_parser_output_is_pinned(capsys, monkeypatch, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    try:
+        exit_code = main(argv)
+    except SystemExit as exc:  # --help and --version exit from the parser
+        exit_code = exc.code
+    captured = capsys.readouterr()
+    assert (exit_code, captured.out, captured.err) == (code, out, err)
+
+
 # ---- fuzzing main() -------------------------------------------------------
 #
 # Inputs stay small (at most 3 variables, total degree at most 3, short

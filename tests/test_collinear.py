@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kellerlab.collinear as collinear
+import kellerlab.field_linalg as field_linalg
 from kellerlab import (
     CollisionWitness,
     Fp,
@@ -845,13 +846,13 @@ class TestCollisionSearch:
         F = pmap(field, 2, *texts)
         expected = naive_collision_search(F, r)
         calls = []
-        vandermonde = collinear.generalized_vandermonde
+        vandermonde = field_linalg.generalized_vandermonde
 
         def counting(field, points, degrees):
             calls.append(tuple(points))
             return vandermonde(field, points, degrees)
 
-        monkeypatch.setattr(collinear, "generalized_vandermonde", counting)
+        monkeypatch.setattr(field_linalg, "generalized_vandermonde", counting)
         witnesses = collision_search(F, r)
         assert witnesses == expected and witnesses
         assert all(w.vandermonde_rank == r for w in witnesses)

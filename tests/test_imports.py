@@ -1,7 +1,8 @@
 """Import policy: each CLI subcommand loads only the modules it uses, the
 package loads its submodules on first attribute access, and nothing imports
-``dataclasses``, nor ``hashlib`` where the builtin ``_sha256`` exists.  Module loading is checked in fresh interpreters, since the
-test process itself has imported everything."""
+``dataclasses``, nor ``hashlib`` where the builtin ``_sha256`` exists, nor
+``fractions`` over F_p.  Module loading is checked in fresh interpreters,
+since the test process itself has imported everything."""
 
 import json
 import os
@@ -137,6 +138,70 @@ def test_no_polynomial_matrices(mapfile, argv):
     assert code == 0
     assert "kellerlab.polymatrix" not in loaded
     assert "PolyMatrix" not in names
+
+
+# over F_p no rational is built, and ``fractions`` (which loads ``decimal``)
+# is imported only where one is
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--version"],
+        ["keller", "map.json"],
+        ["invert", "map.json"],
+        ["collide", "map.json", "-r", "2"],
+        ["line-check", "map.json", "--point", "1,0"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_prime_field_processes_load_no_fractions(mapfile, argv):
+    code, loaded, _names = modules_after_main(argv, mapfile.parent)
+    assert code == 0
+    assert not loaded & {"fractions", "decimal", "_decimal"}
+
+
+# a dense matrix is built only by the affine normalization, the reduction,
+# a polynomial matrix's value at a point, the collinear Vandermonde and
+# coefficient-rank checks, and the CLI's matrix file and ``vandermonde``
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--version"],
+        ["keller", "map.json"],
+        ["jacobian", "map.json"],
+        ["collide", "map.json", "-r", "2"],
+        ["line-check", "map.json", "--point", "1,0"],
+        pytest.param(["line-check", "cubic.json", "--point", "1"], id="line-check-q"),
+        ["invert", "map.json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_no_dense_matrices(mapfile, argv):
+    code, loaded, names = modules_after_main(argv, mapfile.parent)
+    assert code == 0
+    assert "kellerlab.field_linalg" not in loaded
+    assert "Matrix" not in names
+
+
+def test_rationals_and_matrices_load_where_they_are_built(mapfile):
+    code, loaded, _names = modules_after_main(["invert", "affine.json"], mapfile.parent)
+    assert code == 0
+    assert {"fractions", "kellerlab.field_linalg"} <= loaded
+
+
+def test_a_fraction_loaded_after_the_scalars_is_recognised():
+    """``PrimeField.coerce`` and ``power_too_long`` look for ``fractions``
+    when they run, not when ``scalars`` is imported."""
+    code = (
+        "import json, sys\n"
+        "from kellerlab.scalars import PrimeField, power_too_long\n"
+        "assert 'fractions' not in sys.modules\n"
+        "from fractions import Fraction\n"
+        "limit = sys.get_int_max_str_digits()\n"
+        "print(json.dumps([PrimeField(7).coerce(Fraction(1, 3)).v,\n"
+        "                  power_too_long(Fraction(1, 10), limit), power_too_long(Fraction(1, 10), limit - 1),\n"
+        "                  power_too_long(10, limit)]))\n"
+    )
+    assert json.loads(fresh_python(code)) == [5, True, False, False]
 
 
 def test_every_library_module_is_in_the_export_table():
