@@ -496,10 +496,13 @@ def collision_search(polymap: PolyMap, r: int, budget: Optional[int] = None) -> 
     ``find_rank_drop`` (J b = 0, summed on residues) or TheoremViolation is
     raised.
 
-    When the witness satisfies the unit-determinant obstruction's hypotheses
-    (r at least the map degree, r at least 2, characteristic not dividing r)
-    the determinant is required to be non-unit; a violation raises
-    TheoremViolation.
+    A search that finds no witness returns at once, before the determinant,
+    the Jacobian or the degree list is built, so its cost does not grow
+    with r.  The unit-determinant obstruction's hypotheses (r at least the
+    map degree, r at least 2, characteristic not dividing r) belong to the
+    search, not to a witness, so they are checked once, before any witness
+    is built: when they hold and witnesses exist, the determinant is
+    required to be non-unit, and a violation raises TheoremViolation.
     """
     field = polymap.field
     if not isinstance(field, PrimeField):
@@ -528,8 +531,15 @@ def collision_search(polymap: PolyMap, r: int, budget: Optional[int] = None) -> 
         for (base, b), ts in _class_lines(points, p).items()
         if len(ts) >= r
     ]
+    if not found:
+        return []
     det_nonconstant = not polymap.is_keller()
     map_degree = polymap.degree()
+    if r >= map_degree and r % p != 0 and not det_nonconstant:
+        raise TheoremViolation(
+            "collision witness against a map with unit Jacobian "
+            f"determinant (r = {r}, degree {map_degree})"
+        )
     degrees = tuple(range(r + 1))
     # the translated map's term degrees lie in 0..r iff the map's do
     jacobian = polymap.jacobian() if map_degree <= r else None
@@ -547,7 +557,7 @@ def collision_search(polymap: PolyMap, r: int, budget: Optional[int] = None) -> 
                     s = drop_value.v
                     point = [(c + s * x) % p for c, x in zip(origin, b)]
                     _check_annihilation(jacobian, point, b)
-            witness = CollisionWitness(
+            witnesses.append(CollisionWitness(
                 b=tuple(Fp(c, p) for c in b),
                 base=tuple(Fp(c, p) for c in origin),
                 params=params,
@@ -555,11 +565,5 @@ def collision_search(polymap: PolyMap, r: int, budget: Optional[int] = None) -> 
                 vandermonde_rank=r,
                 rank_drop_param=drop_value,
                 det_jac_nonconstant=det_nonconstant,
-            )
-            if r >= map_degree and r % p != 0 and not det_nonconstant:
-                raise TheoremViolation(
-                    "collision witness against a map with unit Jacobian "
-                    f"determinant (r = {r}, degree {map_degree})"
-                )
-            witnesses.append(witness)
+            ))
     return witnesses

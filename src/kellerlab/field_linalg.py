@@ -85,7 +85,7 @@ class Matrix:
         return hash((self.field, self.rows, self.ncols))
 
     def __repr__(self):
-        body = "; ".join(" ".join(self.field.render(e) for e in row) for row in self.rows)
+        body = "; ".join(" ".join(str(e) for e in row) for row in self.rows)
         return f"[{body}]({self.nrows}x{self.ncols} over {self.field})"
 
     def __matmul__(self, other: "Matrix") -> "Matrix":

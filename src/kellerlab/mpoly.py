@@ -724,11 +724,11 @@ def _format_term(field: Field, coeff, mono: str, first: bool) -> str:
     else:
         sign, mag = "+", coeff
     if not mono:
-        body = field.render(mag)
+        body = str(mag)
     elif mag == field.one:
         body = mono
     else:
-        body = f"{field.render(mag)}*{mono}"
+        body = f"{mag!s}*{mono}"
     if first:
         if sign == "-":
             # a bare leading "-x1^2" would parse as (-x1)^2; fold the sign

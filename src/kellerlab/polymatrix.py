@@ -2,7 +2,7 @@
 its division-free determinant, evaluation at a point and substitution.
 
 :meth:`PolyMap.jacobian` loads this module when it runs, so a process that
-builds no Jacobian and does not load ``collinear`` never loads it.
+builds no Jacobian never loads it.
 """
 
 from __future__ import annotations

@@ -158,13 +158,6 @@ class Field:
         """Value of the literal ``num/den`` (den >= 1, taken verbatim)."""
         raise NotImplementedError
 
-    def render(self, x) -> str:
-        raise NotImplementedError
-
-    def sort_key(self, x):
-        """Key for the canonical deterministic ordering of field elements."""
-        raise NotImplementedError
-
     @property
     def zero(self):
         return self.coerce(0)
@@ -200,9 +193,6 @@ class Rationals(Field):
         if den < 1:
             raise ValueError("denominator must be a positive integer")
         return self._fraction(num, den)
-
-    def render(self, x) -> str:
-        return str(x)
 
     def sort_key(self, x):
         n = x.numerator
@@ -251,12 +241,6 @@ class PrimeField(Field):
             raise DivisorNotUnit(f"denominator {den} is 0 mod {self.p}")
         return Fp(num * pow(den % self.p, -1, self.p), self.p)
 
-    def render(self, x) -> str:
-        return str(x.v)
-
-    def sort_key(self, x):
-        return x.v
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -274,8 +258,8 @@ def parse_scalar(text: str, field: Field):
     neg = s.startswith("-")
     if neg:
         s = s[1:]
-    num_str, _, den_str = s.partition("/")
-    if not s.isascii() or not num_str.isdigit() or (den_str and not den_str.isdigit()):
+    num_str, slash, den_str = s.partition("/")
+    if not s.isascii() or not num_str.isdigit() or (slash and not den_str.isdigit()):
         raise ParseError(f"bad scalar literal {text!r}")
     try:
         den = int(den_str) if den_str else 1

@@ -4,8 +4,7 @@ their rational roots.
 The collinear line code is the only user, so only processes that restrict a
 map to a line load this module.  Every restriction t -> poly(base + t b) is
 built by binomial expansion on ``_coerce_point`` inputs
-(``_line_coefficients``), and :meth:`UniPoly.evaluate` runs Horner's rule on
-int residues over F_p.
+(``_line_coefficients``).
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from math import comb, gcd, lcm
 from typing import Sequence
 
 from .errors import FieldMismatch
-from .scalars import Field, Fp, Rationals
+from .scalars import Field, Rationals
 from .mpoly import _format_term
 
 
@@ -80,12 +79,6 @@ class UniPoly:
 
     def evaluate(self, t):
         t = self.field.coerce(t)
-        p = self.field.characteristic
-        if p:
-            t, acc = t.v, 0
-            for c in reversed(self.coeffs):
-                acc = (acc * t + c.v) % p
-            return Fp(acc, p)
         acc = self.field.zero
         for c in reversed(self.coeffs):
             acc = acc * t + c

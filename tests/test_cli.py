@@ -48,7 +48,6 @@ def run(capsys, argv):
 
 
 F5 = PrimeField(5)
-F7 = PrimeField(7)
 QUADRATIC_3VAR = {"field": "Q", "nvars": 3, "polys": ["x1 + x2*x3", "x2 - x1*x3", "x3"]}
 ZERO_MAP_F2 = {"field": {"Fp": 2}, "nvars": 1, "polys": ["x1 - x1^2"]}
 
@@ -654,8 +653,8 @@ class TestReportConverter:
         json.dumps(report)
 
     def test_scalars_polynomials_and_fields(self):
-        assert _json(Fraction(-1, 3)) == "-1/3" == QQ.render(Fraction(-1, 3))
-        assert _json(Fp(6, 7)) == "6" == F7.render(Fp(6, 7))
+        assert _json(Fraction(-1, 3)) == "-1/3"
+        assert _json(Fp(6, 7)) == "6"
         assert [_json(True), _json(7), _json("x"), _json(None)] == [True, 7, "x", None]
         assert _json(QQ) == "Q" and _json(F5) == {"Fp": 5}
         assert _json(self.Q_MAP.jacobian()) == [["1", "-1*x2"], ["0", "1"]]

@@ -1050,3 +1050,55 @@ class TestAnnihilationFault:
         payload = json.loads(lines[0])
         assert payload["error"] == "TheoremViolation"
         assert "does not annihilate" in payload["message"]
+
+
+class TestUnitDeterminantFault:
+    """Fault injection: a map with witnesses at r >= deg F, p not dividing
+    r, whose determinant is declared a unit.  The obstruction belongs to the
+    search, so it fires once, before any witness is built."""
+
+    TEXTS = ("x1^2", "x2")
+
+    @staticmethod
+    def refuse_witnesses(monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("a witness was built")
+
+        monkeypatch.setattr(collinear, "_smallest_root", refused)
+        monkeypatch.setattr(collinear, "CollisionWitness", refused)
+        monkeypatch.setattr(PolyMap, "is_keller", lambda self: True)
+
+    def test_collision_search_raises_before_any_witness(self, monkeypatch):
+        F = pmap(F5, 2, *self.TEXTS)
+        assert collision_search(F, 2)
+        self.refuse_witnesses(monkeypatch)
+        with pytest.raises(TheoremViolation, match="unit Jacobian determinant"):
+            collision_search(F, 2)
+
+    def test_collide_exits_3(self, monkeypatch, tmp_path, capsys):
+        from kellerlab.cli import main
+
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps({"field": {"Fp": 5}, "nvars": 2, "polys": list(self.TEXTS)}))
+        self.refuse_witnesses(monkeypatch)
+        code = main(["collide", str(path), "-r", "2"])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "TheoremViolation"
+        assert "unit Jacobian determinant" in payload["message"]
+
+
+class TestNoWitness:
+    """A search that finds no witness builds neither the determinant nor
+    the Jacobian, so its cost does not grow with r."""
+
+    @pytest.mark.parametrize("r", [2, 6, 10**12])
+    def test_returns_before_the_determinant_and_the_jacobian(self, monkeypatch, r):
+        def refused(self):
+            raise AssertionError("built for a search without witnesses")
+
+        F = pmap(F5, 2, "x1 + x2^2", "x2")
+        monkeypatch.setattr(PolyMap, "is_keller", refused)
+        monkeypatch.setattr(PolyMap, "jacobian", refused)
+        assert collision_search(F, r) == []

@@ -94,6 +94,10 @@ class TestFields:
             parse_scalar("3.5", QQ)
         with pytest.raises(ParseError):
             parse_scalar("1/0", QQ)
+        # a slash needs a denominator after it
+        for text, field in (("1/", QQ), ("-1/", QQ), ("1/", F5), ("-1/", F5)):
+            with pytest.raises(ParseError, match=f"bad scalar literal {text!r}"):
+                parse_scalar(text, field)
 
 
 class TestRank:

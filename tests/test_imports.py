@@ -4,6 +4,7 @@ package loads its submodules on first attribute access, and nothing imports
 ``fractions`` over F_p.  Module loading is checked in fresh interpreters,
 since the test process itself has imported everything."""
 
+import ast
 import json
 import os
 import subprocess
@@ -210,6 +211,38 @@ def test_every_library_module_is_in_the_export_table():
     not a library module."""
     files = {path.stem for path in (SRC / "kellerlab").glob("*.py")} - {"__init__", "cli"}
     assert files == set(kellerlab._EXPORTS)
+
+
+def unused_imports(source: str) -> list:
+    """The names an import statement in ``source`` binds and the module
+    never reads, at module level or in a function (``__future__`` imports
+    bind nothing).  A name counts as read where it appears as an
+    identifier, so an attribute chain reads its first name."""
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(a.asname or a.name.partition(".")[0], node.lineno) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(a.asname or a.name, node.lineno) for a in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(name, line) for name, line in bound if name not in read]
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "kellerlab").glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_a_name_it_never_uses(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_the_unused_import_check_sees_function_level_imports():
+    source = (
+        "from .scalars import Field, Fp\n"
+        "import os.path\n"
+        "def f(x: Field):\n"
+        "    from fractions import Fraction\n"
+        "    return os.sep\n"
+    )
+    assert unused_imports(source) == [("Fp", 1), ("Fraction", 4)]
 
 
 def test_reduce_loads_reduction_but_not_collinear(mapfile):
