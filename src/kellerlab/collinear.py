@@ -121,15 +121,15 @@ def line_restriction(polymap: PolyMap, b: Sequence, base, degrees=None) -> LineD
     from .field_linalg import Matrix
 
     field = polymap.field
+    p = field.characteristic
     direction = _direction(polymap, b)
     base = field.coerce(base)
     anchor = polymap.evaluate([base * x for x in direction])
-    restrictions = [
-        c.restrict_to_line(direction) - v for c, v in zip(polymap.components, anchor)
-    ]
-    support = set()
-    for u in restrictions:
-        support |= set(u.support())
+    origin, coerced = [0] * polymap.n, _coerce_point(field, direction)
+    restrictions = [_line_coefficients(c, origin, coerced, p) or [0] for c in polymap.components]
+    for u, v in zip(restrictions, _coerce_point(field, anchor)):
+        u[0] -= v  # a residue difference, zero iff the residues agree
+    support = {d for u in restrictions for d, c in enumerate(u) if c}
     if degrees is None:
         degrees = tuple(sorted(support))
     else:
@@ -140,7 +140,7 @@ def line_restriction(polymap: PolyMap, b: Sequence, base, degrees=None) -> LineD
             raise PreconditionFailed(
                 f"degree list {degrees} does not cover the support {sorted(support)}"
             )
-    coeff_rows = [[u.coefficient(d) for d in degrees] for u in restrictions]
+    coeff_rows = [[u[d] if d < len(u) else 0 for d in degrees] for u in restrictions]
     matrix = Matrix(field, coeff_rows, ncols=len(degrees))
     return LineData(b=tuple(direction), base=base, degrees=degrees, C=matrix)
 
@@ -240,13 +240,15 @@ def find_rank_drop(polymap: PolyMap, b: Sequence, params: Sequence, degrees: Seq
     if root is not None:
         point = _coerce_point(field, [root * x for x in direction])
         _check_annihilation(polymap.jacobian(), point, coerced)
-    return RankDropResult(value=root, derivative=pivot)
+    return RankDropResult(value=root, derivative=UniPoly(field, pivot))
 
 
-def _smallest_root(field, poly: UniPoly, shift: int = 0):
-    """The smallest s with poly(shift + s) = 0, or None when there is none.
+def _smallest_root(field, coeffs: list, shift: int = 0):
+    """The smallest s with g(shift + s) = 0, or None when there is none, for
+    the polynomial g with the coefficient list ``coeffs`` (constant first,
+    no trailing zero): int residues over F_p, fractions over Q.
 
-    Over F_p, s runs through 0..p-1, each tested by Horner's rule on int
+    Over F_p, s runs through 0..p-1, each tested by Horner's rule on the
     residues; only the root found becomes an ``Fp``.  At most
     ``DEFAULT_COLLISION_BUDGET`` values are tested: when p is larger and none
     of them is a root, BudgetExceeded is raised.  Over Q the shift is always
@@ -256,19 +258,18 @@ def _smallest_root(field, poly: UniPoly, shift: int = 0):
     """
     if isinstance(field, PrimeField):
         p = field.p
-        coeffs = [c.v for c in reversed(poly.coeffs)]
         for s in range(min(p, DEFAULT_COLLISION_BUDGET)):
             t, acc = (shift + s) % p, 0
-            for c in coeffs:
+            for c in reversed(coeffs):
                 acc = (acc * t + c) % p
             if not acc:
                 return field.coerce(s)
         if p > DEFAULT_COLLISION_BUDGET:
             raise BudgetExceeded(DEFAULT_COLLISION_BUDGET, p)
         return None
-    if poly.is_zero():
+    if not coeffs:
         return field.zero
-    roots = rational_roots(poly)
+    roots = rational_roots(UniPoly(field, coeffs))
     return roots[0] if roots else None
 
 
@@ -291,10 +292,12 @@ def _check_annihilation(jacobian: PolyMatrix, point: list, direction: list) -> N
             )
 
 
-def _line_derivative(polymap: PolyMap, base: list, b: list) -> UniPoly:
-    """H_i' for the first i with H_i' nonzero, where H_i(t) = F_i(base + t b);
-    the zero polynomial when every H_i' is zero.  ``base`` and ``b`` come
-    from ``_coerce_point``.
+def _line_derivative(polymap: PolyMap, base: list, b: list) -> list:
+    """The coefficient list of H_i' for the first i with H_i' nonzero, where
+    H_i(t) = F_i(base + t b); the empty list when every H_i' is zero.
+    ``base`` and ``b`` come from ``_coerce_point``, and the list is in the
+    form ``_line_coefficients`` gives: constant first, no trailing zero, int
+    residues over F_p.
 
     H is expanded from the map's terms (``_line_coefficients``), never
     interpolated from its values on the line: over F_p a polynomial of
@@ -303,10 +306,13 @@ def _line_derivative(polymap: PolyMap, base: list, b: list) -> UniPoly:
     """
     p = polymap.field.characteristic
     for component in polymap.components:
-        derivative = _line_coefficients(component, base, b, p).derivative()
-        if not derivative.is_zero():
+        coeffs = _line_coefficients(component, base, b, p)
+        derivative = [k * c % p if p else k * c for k, c in enumerate(coeffs)][1:]
+        while derivative and not derivative[-1]:
+            derivative.pop()
+        if derivative:
             return derivative
-    return UniPoly.zero(polymap.field)
+    return []
 
 
 def verify_collision_obstruction(polymap: PolyMap, witness: CollisionWitness) -> bool:
@@ -369,11 +375,11 @@ def line_injectivity(polymap: PolyMap, a: Sequence) -> LineInjectivity:
         direction = _direction(polymap, a)
     except ZeroDirection:
         return LineInjectivity(injective=True, counterexample=None, certified=True)
-    if isinstance(field, PrimeField):
-        p = field.p
-        highest_first = [
-            [c.v for c in reversed(f.restrict_to_line(direction).coeffs)] for f in polymap.components
-        ]
+    p = field.characteristic
+    origin, coerced = [0] * polymap.n, _coerce_point(field, direction)
+    restrictions = [_line_coefficients(f, origin, coerced, p) for f in polymap.components]
+    if p:
+        highest_first = [g[::-1] for g in restrictions]
         seen = {}
         for t in range(min(p, DEFAULT_COLLISION_BUDGET)):
             image = 0
@@ -388,10 +394,10 @@ def line_injectivity(polymap: PolyMap, a: Sequence) -> LineInjectivity:
         if p > DEFAULT_COLLISION_BUDGET:
             raise BudgetExceeded(DEFAULT_COLLISION_BUDGET, p)
         return LineInjectivity(True, None, True)
-    return _line_injectivity_rational(polymap, direction)
+    return _line_injectivity_rational(polymap, direction, restrictions)
 
 
-def _quotient_at(coeffs: tuple, v) -> list:
+def _quotient_at(coeffs: list, v) -> list:
     """The coefficients q_0..q_{K-1} of (G(s) - G(v)) / (s - v) for G with
     coefficients c_0..c_K, by synthetic division: q_{K-1} = c_K and q_{m-1} =
     c_m + v q_m.  Since q_m = sum_j c_{j+m+1} v^j, they are also the t^m
@@ -406,14 +412,13 @@ def _quotient_at(coeffs: tuple, v) -> list:
     return q[::-1]
 
 
-def _line_injectivity_rational(polymap: PolyMap, direction) -> LineInjectivity:
-    """The Q branch of ``line_injectivity``, on the coefficient tuples of
+def _line_injectivity_rational(polymap: PolyMap, direction, restrictions: list) -> LineInjectivity:
+    """The Q branch of ``line_injectivity``, on the coefficient lists of
     the restrictions G_i(t) = F_i(t a); the divided difference of G_i is
     zero iff G_i is constant and a nonzero constant iff deg G_i = 1."""
     from fractions import Fraction
 
     field = polymap.field
-    restrictions = [c.restrict_to_line(direction).coeffs for c in polymap.components]
     if all(len(g) <= 1 for g in restrictions):
         # constant on a nontrivial line: everything collides
         pair = (Fraction(0), Fraction(1))

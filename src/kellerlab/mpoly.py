@@ -504,10 +504,11 @@ class MPoly:
         """The univariate polynomial ``t -> self(t * direction)``."""
         if len(direction) != self.nvars:
             raise ArityMismatch(f"direction of length {len(direction)} in {self.nvars} variables")
-        from .unipoly import _line_coefficients
+        from .unipoly import UniPoly, _line_coefficients
 
         b = _coerce_point(self.field, direction)
-        return _line_coefficients(self, [0] * self.nvars, b, self.field.characteristic)
+        coeffs = _line_coefficients(self, [0] * self.nvars, b, self.field.characteristic)
+        return UniPoly(self.field, coeffs)
 
     # ---- variable plumbing -----------------------------------------------
 

@@ -1,10 +1,11 @@
-"""Dense univariate polynomials: restrictions of polynomials to lines, and
-their rational roots.
+"""Dense univariate polynomials: the ``UniPoly`` result type and rational
+roots.
 
 The collinear line code is the only user, so only processes that restrict a
-map to a line load this module.  Every restriction t -> poly(base + t b) is
-built by binomial expansion on ``_coerce_point`` inputs
-(``_line_coefficients``).
+map to a line load this module.  A restriction t -> poly(base + t b) is its
+coefficient list, built by binomial expansion on ``_coerce_point`` inputs
+(``_line_coefficients``); a ``UniPoly`` is built from that list only where
+a result or ``rational_roots`` takes one.
 """
 
 from __future__ import annotations
@@ -17,12 +18,14 @@ from .scalars import Field, Rationals
 from .mpoly import _format_term
 
 
-def _line_coefficients(poly: "MPoly", base: list, b: list, p: int) -> "UniPoly":
-    """The restriction ``t -> poly(base + t * b)`` of ``_coerce_point`` inputs:
-    each term expanded from the binomial rows of (base_k + b_k t)^e, one row
-    per (variable, exponent), summed unreduced until the UniPoly is built."""
+def _line_coefficients(poly: "MPoly", base: list, b: list, p: int) -> list:
+    """The coefficients of the restriction ``t -> poly(base + t * b)`` of
+    ``_coerce_point`` inputs, constant first and with no trailing zero: int
+    residues in 0..p-1 over F_p, fractions over Q.  Each term is expanded
+    from the binomial rows of (base_k + b_k t)^e, one row per (variable,
+    exponent), and summed unreduced until the end."""
     mod, rows = p or None, {}
-    coeffs = [0] * (poly.degree() + 1)
+    coeffs = [0 if p else poly.field.zero] * (poly.degree() + 1)
     for exps, c in poly.terms.items():
         term = [c.v if p else c]
         for k, e in enumerate(exps):
@@ -39,7 +42,11 @@ def _line_coefficients(poly: "MPoly", base: list, b: list, p: int) -> "UniPoly":
                 term = product
         for j, v in enumerate(term):
             coeffs[j] += v
-    return UniPoly(poly.field, coeffs)
+    if p:
+        coeffs = [c % p for c in coeffs]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
 
 
 class UniPoly:
@@ -58,10 +65,6 @@ class UniPoly:
     def zero(cls, field: Field) -> "UniPoly":
         return cls(field, ())
 
-    @classmethod
-    def constant(cls, field: Field, value) -> "UniPoly":
-        return cls(field, (value,))
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -72,11 +75,6 @@ class UniPoly:
     def support(self) -> tuple:
         return tuple(k for k, c in enumerate(self.coeffs) if c)
 
-    def coefficient(self, k: int):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return self.field.zero
-
     def evaluate(self, t):
         t = self.field.coerce(t)
         acc = self.field.zero
@@ -86,22 +84,6 @@ class UniPoly:
 
     def derivative(self) -> "UniPoly":
         return UniPoly(self.field, [c * k for k, c in enumerate(self.coeffs)][1:])
-
-    def __add__(self, other):
-        if not isinstance(other, UniPoly):
-            other = UniPoly.constant(self.field, other)
-        if self.field != other.field:
-            raise FieldMismatch(f"{self.field} vs {other.field}")
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(self.field, [self.coefficient(k) + other.coefficient(k) for k in range(n)])
-
-    def __neg__(self):
-        return UniPoly(self.field, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if not isinstance(other, UniPoly):
-            other = UniPoly.constant(self.field, other)
-        return self + (-other)
 
     def __eq__(self, other):
         if not isinstance(other, UniPoly):

@@ -10,6 +10,7 @@ from kellerlab import (
     Matrix,
     MPoly,
     PolyMap,
+    PolyMatrix,
     TheoremViolation,
     UniPoly,
     find_rank_drop,
@@ -32,6 +33,18 @@ def doubled_inverse(inverse):
 
     def wrong(self):
         return Matrix(self.field, [[2 * e for e in row] for row in inverse(self).rows])
+
+    return wrong
+
+
+def transposed_jacobian(jacobian):
+    """Fault injection: a PolyMap.jacobian that returns the transpose.  The
+    determinant, and so the Keller verdict, is unchanged; J^T b need not
+    vanish where J b does."""
+
+    def wrong(self):
+        grid = jacobian(self).grid
+        return PolyMatrix(self.field, self.n, list(zip(*grid)))
 
     return wrong
 

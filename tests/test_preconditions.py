@@ -109,7 +109,6 @@ CASES = [
         InconsistentReduction,
         "does not match the map's dimension",
     ),
-    ("UniPoly-add-field", lambda: UniPoly(QQ, [1]) + UniPoly(F5, [1]), FieldMismatch, "Q vs F_5"),
     ("rational_roots-field", lambda: rational_roots(UniPoly(F5, [1, 1])), FieldMismatch, "needs a polynomial over Q"),
 ]
 
