@@ -38,14 +38,6 @@ class LineData(NamedTuple):
     degrees: tuple
     C: Matrix
 
-    def component(self, i: int) -> UniPoly:
-        field = self.C.field
-        size = (self.degrees[-1] + 1) if self.degrees else 0
-        coeffs = [field.zero] * size
-        for k, d in enumerate(self.degrees):
-            coeffs[d] = self.C.rows[i][k]
-        return UniPoly(field, coeffs)
-
 
 class CollisionWitness(NamedTuple):
     """A line on which a map takes the same value at least r times.
@@ -192,17 +184,19 @@ def verify_coefficient_rank(line: LineData, params: Sequence) -> bool:
     """
     field = line.C.field
     values = [field.coerce(a) for a in params]
-    rows = range(line.C.nrows)
+    degrees = tuple(line.degrees)
     # G vanishes at every parameter iff its images there all equal the zero
-    # vector; G is built only once the degree list has passed
+    # vector; G_i(a) is row i of C against the powers of a at the degree
+    # list, evaluated only once that list has passed
     images = itertools.chain(
-        [(field.zero,) * len(rows)],
-        (tuple(line.component(i).evaluate(a) for i in rows) for a in values),
+        [(field.zero,) * line.C.nrows],
+        (tuple(sum((c * a**d for c, d in zip(row, degrees)), field.zero) for row in line.C.rows)
+         for a in values),
     )
-    _check_hypotheses(field, values, tuple(line.degrees), images)
+    _check_hypotheses(field, values, degrees, images)
     if line.C.rank() > 1:
         raise TheoremViolation("coefficient matrix has rank above 1")
-    if not line.C.is_zero() and not any(line.C.column(len(line.degrees) - 1)):
+    if not line.C.is_zero() and not any(line.C.column(len(degrees) - 1)):
         raise TheoremViolation("nonzero coefficient matrix with a zero last column")
     return True
 

@@ -17,6 +17,7 @@ from .errors import (
     NotNormalized,
     NotStrictlyLowerTriangular,
     SingularLinearPart,
+    SingularMatrix,
     TheoremViolation,
 )
 from .mpoly import MPoly, _substitute_all, _sum
@@ -46,19 +47,22 @@ class InverseResult(NamedTuple):
 
 
 class AffineNormalization(NamedTuple):
-    """Split F = L * core + c with core of the shape x + (order >= 2)."""
+    """Split F = L * core + c with core of the shape x + (order >= 2);
+    ``linear_inverse`` is L^-1."""
 
     linear: Matrix
     constant: tuple
     core: PolyMap
+    linear_inverse: Matrix
 
 
 def is_normalized(polymap: PolyMap) -> bool:
     """True iff the map is x + H with H free of constant and linear terms."""
-    if polymap.m != polymap.n:
+    try:
+        _require_normalized(polymap)
+    except (NonSquare, NotNormalized):
         return False
-    higher = polymap - PolyMap.identity(polymap.field, polymap.n)
-    return all(deg >= 2 for c in higher.components for deg in c.degrees())
+    return True
 
 
 def _require_normalized(polymap: PolyMap) -> PolyMap:
@@ -86,15 +90,16 @@ def normalize_affine(polymap: PolyMap) -> AffineNormalization:
     # the Jacobian at the origin: dF_i/dx_j(0) is the x_j coefficient of F_i
     units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     linear = Matrix(field, [[c.coefficient(e) for e in units] for c in polymap.components], ncols=n)
-    if linear.rank() < n:
-        raise SingularLinearPart("Jacobian at the origin is singular")
-    lin_inv = linear.inverse()
+    try:
+        lin_inv = linear.inverse()
+    except SingularMatrix:
+        raise SingularLinearPart("Jacobian at the origin is singular") from None
     shifted = [c - v for c, v in zip(polymap.components, constant)]
     core = PolyMap(field, n, apply_matrix(lin_inv, shifted, n))
     rebuilt = [q + v for q, v in zip(apply_matrix(linear, core.components, n), constant)]
     if tuple(rebuilt) != polymap.components:
         raise TheoremViolation("affine normalization failed to reconstruct the map")
-    return AffineNormalization(linear=linear, constant=constant, core=core)
+    return AffineNormalization(linear=linear, constant=constant, core=core, linear_inverse=lin_inv)
 
 
 def formal_inverse(polymap: PolyMap, max_deg: Optional[int] = None) -> InverseResult:
@@ -152,10 +157,9 @@ def invert_polymap(polymap: PolyMap, max_deg: Optional[int] = None) -> InverseRe
     result = formal_inverse(norm.core, max_deg)
     # full inverse: core^{-1} after y -> L^{-1}(y - c)
     field, n = polymap.field, polymap.n
-    lin_inv = norm.linear.inverse()
     xs = MPoly.variables(field, n)
     shifted = [x - c for x, c in zip(xs, norm.constant)]
-    affine_inv = PolyMap(field, n, apply_matrix(lin_inv, shifted, n))
+    affine_inv = PolyMap(field, n, apply_matrix(norm.linear_inverse, shifted, n))
     full = result.inverse.compose(affine_inv)
     if result.is_polynomial:
         if not verify_inverse(polymap, full):

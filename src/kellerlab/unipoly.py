@@ -4,8 +4,9 @@ roots.
 The collinear line code is the only user, so only processes that restrict a
 map to a line load this module.  A restriction t -> poly(base + t b) is its
 coefficient list, built by binomial expansion on ``_coerce_point`` inputs
-(``_line_coefficients``); a ``UniPoly`` is built from that list only where
-a result or ``rational_roots`` takes one.
+(``_line_coefficients``); a ``UniPoly`` is built from that list only for a
+result (``MPoly.restrict_to_line``, a rank-drop derivative) or a
+``rational_roots`` argument.
 """
 
 from __future__ import annotations
@@ -61,19 +62,8 @@ class UniPoly:
         self.field = field
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def zero(cls, field: Field) -> "UniPoly":
-        return cls(field, ())
-
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def degree(self) -> int:
-        """Degree; 0 for the zero polynomial by convention."""
-        return max(len(self.coeffs) - 1, 0)
-
-    def support(self) -> tuple:
-        return tuple(k for k, c in enumerate(self.coeffs) if c)
 
     def evaluate(self, t):
         t = self.field.coerce(t)
@@ -81,9 +71,6 @@ class UniPoly:
         for c in reversed(self.coeffs):
             acc = acc * t + c
         return acc
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly(self.field, [c * k for k, c in enumerate(self.coeffs)][1:])
 
     def __eq__(self, other):
         if not isinstance(other, UniPoly):

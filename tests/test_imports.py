@@ -331,7 +331,7 @@ RESULTS = [
     RankDropResult(value=None, derivative=None),
     LineInjectivity(injective=True, counterexample=None, certified=True),
     InverseResult(verdict="PolynomialInverse", inverse=None, inverse_degree=2, bound_used=2),
-    AffineNormalization(linear=None, constant=(0,), core=None),
+    AffineNormalization(linear=None, constant=(0,), core=None, linear_inverse=None),
     KernelReduction(T=None, Tinv=None, r=1, conjugated=None),
     DegreeBoundReport(
         n=2, d=2, r=1, bound=2, gabber_bound=2, actual_inverse_degree=2,

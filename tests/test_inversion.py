@@ -14,6 +14,7 @@ from kellerlab import (
     formal_inverse,
     inverse_degree,
     invert_polymap,
+    is_normalized,
     normalize_affine,
     power_linear,
     triangular_inverse,
@@ -86,6 +87,28 @@ class TestNormalizeAffine:
         monkeypatch.setattr(Matrix, "inverse", doubled_inverse(Matrix.inverse))
         with pytest.raises(TheoremViolation, match="reconstruct"):
             normalize_affine(pmap(QQ, 2, "x1 + 1", "x2 + x1^2"))
+
+    @pytest.mark.parametrize("field", [QQ, F5], ids=str)
+    def test_linear_part_is_row_reduced_once_per_inversion(self, monkeypatch, field):
+        calls = []
+        rref = Matrix.rref
+        monkeypatch.setattr(Matrix, "rref", lambda self: calls.append(self) or rref(self))
+        result = invert_polymap(pmap(field, 2, "2*x1 + 1", "x1 + x2 + x1^2 + 2"))
+        assert result.verdict == VERDICT_POLYNOMIAL
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("field", [QQ, F5], ids=str)
+    def test_carries_the_inverse_of_the_linear_part(self, field):
+        norm = normalize_affine(pmap(field, 2, "2*x1 + x2 + 1", "x1 + 4*x2 + x1^2"))
+        assert norm.linear @ norm.linear_inverse == Matrix.identity(field, 2)
+
+
+class TestIsNormalized:
+    def test_only_maps_of_the_form_x_plus_higher_order(self):
+        assert is_normalized(pmap(QQ, 2, "x1 + x2^2", "x2 + x1^3"))
+        assert not is_normalized(pmap(QQ, 2, "2*x1", "x2"))
+        assert not is_normalized(pmap(QQ, 2, "x1 + 1", "x2"))
+        assert not is_normalized(pmap(QQ, 2, "x1"))
 
 
 class TestFormalInverse:
