@@ -43,11 +43,6 @@ class Matrix:
         return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)], ncols=n)
 
     @classmethod
-    def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        zero = field.zero
-        return cls(field, [[zero] * ncols for _ in range(nrows)], ncols=ncols)
-
-    @classmethod
     def from_columns(cls, field: Field, columns: Sequence[Sequence], *, nrows=None) -> "Matrix":
         cols = [tuple(c) for c in columns]
         if cols:
@@ -56,17 +51,11 @@ class Matrix:
             raise ArityMismatch("a 0-column matrix needs an explicit nrows")
         return cls(field, [[col[i] for col in cols] for i in range(nrows)], ncols=len(cols))
 
-    def entry(self, i: int, j: int):
-        return self.rows[i][j]
-
     def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.rows)
 
     def columns(self) -> tuple:
         return tuple(self.column(j) for j in range(self.ncols))
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.columns(), ncols=self.nrows)
 
     def is_zero(self) -> bool:
         return all(not e for row in self.rows for e in row)
@@ -106,13 +95,6 @@ class Matrix:
                 row.append(acc)
             out.append(row)
         return Matrix(self.field, out, ncols=other.ncols)
-
-    def matvec(self, vec: Sequence) -> tuple:
-        v = [self.field.coerce(x) for x in vec]
-        if len(v) != self.ncols:
-            raise ArityMismatch(f"vector of length {len(v)} against {self.ncols} columns")
-        zero = self.field.zero
-        return tuple(sum((row[k] * v[k] for k in range(self.ncols)), zero) for row in self.rows)
 
     def rref(self) -> tuple["Matrix", tuple]:
         """Reduced row-echelon form and the tuple of pivot column indices."""

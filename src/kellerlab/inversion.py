@@ -112,13 +112,13 @@ def formal_inverse(polymap: PolyMap, max_deg: Optional[int] = None) -> InverseRe
     exact, untruncated two-sided composition check, which protects against
     series that only stabilize above the bound.
 
-    The default bound is max(1, d^(n-1)) for d = deg F, the degree an inverse
-    of an invertible degree-d map in n variables can never exceed.
+    The default bound is d^(n-1) for d = deg F (1 when n = 0), the degree an
+    inverse of an invertible degree-d map in n variables can never exceed.
     """
     higher = _require_normalized(polymap)
     field, n = polymap.field, polymap.n
     if max_deg is None:
-        max_deg = max(1, polymap.degree() ** (n - 1)) if n > 0 else 1
+        max_deg = polymap.degree() ** (n - 1) if n > 0 else 1
     if max_deg < 1:
         raise ValueError("max_deg must be at least 1")
     identity = PolyMap.identity(field, n)

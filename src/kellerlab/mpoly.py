@@ -489,10 +489,6 @@ class MPoly:
             return Fp(sum(_term_values(self, vals, p)), p)
         return sum(_term_values(self, vals, 0), self.field.zero)
 
-    def homogeneous_component(self, k: int) -> "MPoly":
-        terms = {e: c for e, c in self.terms.items() if sum(e) == k}
-        return MPoly._canonical(self.field, self.nvars, terms)
-
     def homogeneous_components(self) -> dict:
         """Map degree -> homogeneous part, ascending keys; parts sum to self."""
         out = {}

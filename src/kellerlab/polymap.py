@@ -130,10 +130,11 @@ class PolyMap:
         tuple doubles as the degree support (including 0 when constants
         occur).
         """
-        degrees = self.degree_support()
+        parts = [c.homogeneous_components() for c in self.components]
+        zero = MPoly.zero(self.field, self.n)
         return {
-            k: PolyMap(self.field, self.n, [c.homogeneous_component(k) for c in self.components])
-            for k in degrees
+            k: PolyMap(self.field, self.n, [p.get(k, zero) for p in parts])
+            for k in sorted(set().union(*parts))
         }
 
     def restrict(self, k: int) -> "PolyMap":

@@ -34,9 +34,6 @@ class PolyMatrix:
         self.ncols = width
         self.grid = rows
 
-    def entry(self, i: int, j: int) -> MPoly:
-        return self.grid[i][j]
-
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):
             return NotImplemented

@@ -14,7 +14,7 @@ from .errors import (
     TheoremViolation,
 )
 from .field_linalg import Matrix, complete_to_basis
-from .mpoly import MPoly, _substitute_all
+from .mpoly import MPoly
 from .polymap import PolyMap, apply_matrix
 from .inversion import _require_normalized, formal_inverse
 
@@ -110,10 +110,11 @@ def pair_reduction(polymap: PolyMap, reduction: KernelReduction) -> PolyMap:
     paired = PolyMap(field, r, apply_matrix(b_rows, image.components, r))
     # the paired map must equal the leading conjugated components at
     # x_{r+1} = ... = x_n = 0
-    zeros = [MPoly.zero(field, r)] * (n - r)
-    images = list(MPoly.variables(field, r)) + zeros
     leading = reduction.conjugated.components[:r]
-    expected = _substitute_all(leading, images)
+    expected = [
+        MPoly._canonical(field, r, {e[:r]: c for e, c in g.terms.items() if not any(e[r:])})
+        for g in leading
+    ]
     for i in range(r):
         if expected[i] != paired.components[i]:
             raise InconsistentReduction(
@@ -143,7 +144,7 @@ def degree_bound_report(polymap: PolyMap) -> DegreeBoundReport:
     bound = d**r
     gabber = d ** (n - 1) if n > 0 else 1
     note = CHAR_P_NOTE if field.characteristic else None
-    result = formal_inverse(polymap, max_deg=max(1, bound))
+    result = formal_inverse(polymap, max_deg=bound)
     escalated = not result.is_polynomial
     if escalated and gabber > bound:
         result = formal_inverse(polymap, max_deg=gabber)

@@ -124,7 +124,7 @@ class TestRank:
         for field in (QQ, F5):
             for _ in range(40):
                 m = random_matrix(rng, field, rng.randint(1, 4), rng.randint(1, 4))
-                assert m.rank() == m.transpose().rank()
+                assert m.rank() == Matrix.from_columns(field, m.rows, nrows=m.ncols).rank()
 
 
 class TestDet:
@@ -156,7 +156,7 @@ class TestKernel:
         assert basis.columns() == ((Fraction(-1), Fraction(1)),)
 
     def test_full_kernel(self):
-        basis = Matrix.zeros(F3, 2, 2).kernel_basis()
+        basis = Matrix(F3, [[0, 0], [0, 0]]).kernel_basis()
         assert basis == Matrix.identity(F3, 2)
 
     def test_kernel_dimension_formula_and_annihilation(self):
@@ -166,8 +166,7 @@ class TestKernel:
                 m = random_matrix(rng, field, rng.randint(1, 4), rng.randint(1, 4))
                 basis = m.kernel_basis()
                 assert basis.ncols + m.rank() == m.ncols
-                for col in basis.columns():
-                    assert all(not e for e in m.matvec(col))
+                assert (m @ basis).is_zero()
 
 
 class TestCompleteToBasis:
@@ -283,7 +282,3 @@ class TestMatrixPlumbing:
     def test_singular_inverse_rejected(self):
         with pytest.raises(SingularMatrix):
             Matrix(QQ, [[1, 2], [2, 4]]).inverse()
-
-    def test_matvec(self):
-        m = Matrix(QQ, [[1, 2], [3, 4]])
-        assert m.matvec([1, 1]) == (Fraction(3), Fraction(7))

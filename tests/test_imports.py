@@ -245,6 +245,71 @@ def test_the_unused_import_check_sees_function_level_imports():
     assert unused_imports(source) == [("Fp", 1), ("Fraction", 4)]
 
 
+def unused_private_definitions(sources: dict) -> list:
+    """The private functions, methods and classes (a leading underscore,
+    not a dunder) defined in ``sources`` (file name -> text) whose name
+    appears nowhere in them outside their own definition: not as an
+    identifier, an attribute or an imported name.  Names in strings and
+    docstrings do not count."""
+    trees = {file: ast.parse(text) for file, text in sources.items()}
+    uses = {}
+    for file, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.setdefault(node.id, []).append((file, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                uses.setdefault(node.attr, []).append((file, node.lineno))
+            elif isinstance(node, ast.alias):
+                uses.setdefault(node.name, []).append((file, node.lineno))
+    unused = []
+    for file, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if not name.startswith("_") or (name.startswith("__") and name.endswith("__")):
+                continue
+            outside = [
+                use for use in uses.get(name, [])
+                if use[0] != file or not node.lineno <= use[1] <= node.end_lineno
+            ]
+            if not outside:
+                unused.append((file, name, node.lineno))
+    return sorted(unused, key=lambda u: (u[0], u[2]))
+
+
+def test_no_private_definition_is_dead():
+    sources = {path.name: path.read_text() for path in sorted((SRC / "kellerlab").glob("*.py"))}
+    assert unused_private_definitions(sources) == []
+
+
+def test_the_dead_private_definition_check():
+    sources = {
+        "a.py": (
+            "def _used_elsewhere(): pass\n"
+            "def _dead(): pass\n"
+            "def _recursive(n):\n"
+            "    return _recursive(n - 1)\n"
+            "class _Dead:\n"
+            "    def __init__(self): pass\n"
+            "    def _method(self): pass\n"
+            "    def _called(self): pass\n"
+            "    def public(self):\n"
+            "        return self._called()\n"
+            "def _named_in_a_string():\n"
+            '    """_named_in_a_string"""\n'
+        ),
+        "b.py": "from .a import _used_elsewhere\n_used_elsewhere()\n",
+    }
+    assert unused_private_definitions(sources) == [
+        ("a.py", "_dead", 2),
+        ("a.py", "_recursive", 3),
+        ("a.py", "_Dead", 5),
+        ("a.py", "_method", 7),
+        ("a.py", "_named_in_a_string", 11),
+    ]
+
+
 def test_reduce_loads_reduction_but_not_collinear(mapfile):
     code, loaded, _names = modules_after_main(["reduce", "map.json"], mapfile.parent)
     assert code == 0

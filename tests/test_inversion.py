@@ -194,7 +194,7 @@ class TestTriangularInverse:
         assert triangular_inverse(A, 2) == pmap(QQ, 2, "x1", "x2 - x1^2")
 
     def test_zero_matrix(self):
-        assert triangular_inverse(Matrix.zeros(QQ, 3, 3), 4) == PolyMap.identity(QQ, 3)
+        assert triangular_inverse(Matrix(QQ, [[0] * 3] * 3), 4) == PolyMap.identity(QQ, 3)
 
     def test_two_steps_reach_degree_four(self):
         A = subdiagonal_ones(QQ, 3)

@@ -66,12 +66,12 @@ class TestJacobian:
     def test_three_variable_quadratic(self):
         F = pmap(QQ, 3, "x1 + x2*x3", "x2 - x1*x3", "x3")
         jac = F.jacobian()
-        assert jac.entry(0, 0) == P("1", 3, QQ)
-        assert jac.entry(0, 1) == P("x3", 3, QQ)
-        assert jac.entry(0, 2) == P("x2", 3, QQ)
-        assert jac.entry(1, 0) == -P("x3", 3, QQ)
-        assert jac.entry(1, 1) == P("1", 3, QQ)
-        assert jac.entry(1, 2) == -P("x1", 3, QQ)
+        assert jac.grid[0][0] == P("1", 3, QQ)
+        assert jac.grid[0][1] == P("x3", 3, QQ)
+        assert jac.grid[0][2] == P("x2", 3, QQ)
+        assert jac.grid[1][0] == -P("x3", 3, QQ)
+        assert jac.grid[1][1] == P("1", 3, QQ)
+        assert jac.grid[1][2] == -P("x1", 3, QQ)
         assert jac.grid[2] == (P("0", 3, QQ), P("0", 3, QQ), P("1", 3, QQ))
 
     def test_identity(self):
@@ -80,7 +80,7 @@ class TestJacobian:
         for i in range(3):
             for j in range(3):
                 expected = P("1", 3, QQ) if i == j else P("0", 3, QQ)
-                assert jac.entry(i, j) == expected
+                assert jac.grid[i][j] == expected
 
 
 class TestDetJacobian:
@@ -113,7 +113,7 @@ class TestDetJacobian:
         oracle = MPoly.zero(QQ, 5)
         sign = 1
         for j in range(5):
-            entry = jac.entry(0, j)
+            entry = jac.grid[0][j]
             if not entry.is_zero():
                 minor = PolyMatrix(
                     QQ,
@@ -158,7 +158,7 @@ class TestHadamardPower:
         assert hadamard_power(A, 2) == pmap(QQ, 2, "(x1+x2)^2", "x2^2")
 
     def test_zero_matrix(self):
-        A = Matrix.zeros(QQ, 2, 2)
+        A = Matrix(QQ, [[0, 0], [0, 0]])
         assert hadamard_power(A, 3) == pmap(QQ, 2, "0", "0")
 
     def test_identity_matrix(self):
@@ -172,7 +172,7 @@ class TestPowerLinear:
         assert power_linear(A, 2) == pmap(QQ, 2, "x1", "x2 + x1^2")
 
     def test_zero_matrix_gives_identity(self):
-        assert power_linear(Matrix.zeros(QQ, 2, 2), 2) == PolyMap.identity(QQ, 2)
+        assert power_linear(Matrix(QQ, [[0, 0], [0, 0]]), 2) == PolyMap.identity(QQ, 2)
 
     def test_subdiagonal_chain(self):
         A = Matrix(QQ, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])

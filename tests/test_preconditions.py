@@ -53,7 +53,6 @@ CASES = [
     ("Matrix-from_columns", lambda: Matrix.from_columns(QQ, []), ArityMismatch, "needs an explicit nrows"),
     ("Matrix-matmul-field", lambda: ROW @ Matrix(F5, [[1], [2]]), FieldMismatch, "over different fields"),
     ("Matrix-matmul-shape", lambda: ROW @ ROW, ArityMismatch, "cannot multiply 2-column by 1-row"),
-    ("Matrix-matvec", lambda: ROW.matvec([1]), ArityMismatch, "vector of length 1 against 2 columns"),
     ("Matrix-inverse", lambda: ROW.inverse(), NonSquare, "inverse of a 1x2 matrix"),
     ("formal_inverse-non-square", lambda: formal_inverse(NON_SQUARE), NonSquare, "1x2 map"),
     ("formal_inverse-max_deg", lambda: formal_inverse(IDENTITY_1, 0), ValueError, "max_deg must be at least 1"),

@@ -28,6 +28,7 @@ from kellerlab.reduction import CHAR_P_NOTE
 
 from conftest import P, pmap, random_mpoly, rng_for
 
+F2 = PrimeField(2)
 F5 = PrimeField(5)
 F7 = PrimeField(7)
 
@@ -100,9 +101,9 @@ def reference_constant_kernel(H):
     for i in range(H.m):
         monomials = set()
         for j in range(H.n):
-            monomials |= set(jac.entry(i, j).terms)
+            monomials |= set(jac.grid[i][j].terms)
         for mono in sorted(monomials, key=lambda e: (sum(e), e), reverse=True):
-            rows.append([jac.entry(i, j).coefficient(mono) for j in range(H.n)])
+            rows.append([jac.grid[i][j].coefficient(mono) for j in range(H.n)])
     return Matrix(H.field, rows, ncols=H.n).kernel_basis()
 
 
@@ -144,7 +145,7 @@ class TestKernelConjugate:
             jac = (red.conjugated - PolyMap.identity(QQ, 4)).jacobian()
             for j in range(red.r, 4):
                 for i in range(4):
-                    assert jac.entry(i, j).is_zero()
+                    assert jac.grid[i][j].is_zero()
 
     def test_nonzero_conjugated_column_is_refused(self, monkeypatch):
         # fault injection: a basis completion that ignores the kernel
@@ -228,6 +229,26 @@ class TestDegreeBoundReport:
         report = degree_bound_report(F)
         assert report.char_p_note == CHAR_P_NOTE
         assert report.satisfied
+
+    def test_real_escalation_in_characteristic_two(self, monkeypatch):
+        # d(x2^2)/dx2 = 2*x2 vanishes over F_2, so the constant kernel is
+        # the whole space: r = 0 and d^r = 1, below the inverse's degree 2
+        bounds = record_inversions(monkeypatch, 0)
+        report = degree_bound_report(pmap(F2, 2, "x1 + x2^2", "x2"))
+        assert (report.r, report.bound, report.gabber_bound) == (0, 1, 2)
+        assert report.actual_inverse_degree == 2
+        assert report.escalated and not report.satisfied
+        assert report.char_p_note == CHAR_P_NOTE
+        assert bounds == [1, 2]
+
+    def test_same_map_over_q_is_within_the_bound(self, monkeypatch):
+        bounds = record_inversions(monkeypatch, 0)
+        report = degree_bound_report(pmap(QQ, 2, "x1 + x2^2", "x2"))
+        assert (report.r, report.bound, report.gabber_bound) == (1, 2, 2)
+        assert report.actual_inverse_degree == 2
+        assert report.satisfied and not report.escalated
+        assert report.char_p_note is None
+        assert bounds == [2]
 
     def test_requires_normalized_map(self):
         with pytest.raises(NotNormalized):
