@@ -62,7 +62,7 @@ print("same object twice?", inductive == iterated)
 
 show("A tighter bound from the constant kernel of jac H")
 F = pmap(QQ, 3, "x1", "x2 + x1^2", "x3 + x1*x2")
-report = degree_bound_report(F)
+report = degree_bound_report(kernel_conjugate(F))
 print("F =", F)
 print(
     f"n={report.n} d={report.d}: kernel rank r={report.r}, bound d^r={report.bound},"

@@ -225,7 +225,7 @@ def _cmd_reduce(args):
     core = kellerlab.normalize_affine(polymap).core if normalized_first else polymap
     reduction = kellerlab.kernel_conjugate(core)
     paired = kellerlab.pair_reduction(core, reduction)
-    report = kellerlab.degree_bound_report(core)
+    report = kellerlab.degree_bound_report(reduction)
     return {**reduction._asdict(), "normalized_first": normalized_first, "paired": paired, "report": report}, raw
 
 

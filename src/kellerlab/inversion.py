@@ -227,12 +227,21 @@ def extend_inverse(polymap: PolyMap, r: int, sub_correction: PolyMap) -> PolyMap
         raise ArityMismatch(f"sub-inverse must be an {r}-dimensional map")
     if sub_correction.field != field:
         raise FieldMismatch("sub-inverse over a different field")
-    leading = polymap.restrict(r)
+    # F_1..F_r use only x_1..x_r (checked above); cutting off the other
+    # exponents, or appending zero ones, keeps graded-lex order
+    leading = [
+        MPoly._canonical(field, r, {e[:r]: c for e, c in f.terms.items()})
+        for f in polymap.components[:r]
+    ]
     sub_inverse = PolyMap.identity(field, r) - sub_correction
-    if not verify_inverse(leading, sub_inverse):
+    if not verify_inverse(PolyMap(field, r, leading), sub_inverse):
         raise BadSubInverse("x~ - G~ is not the inverse of the leading sub-map")
     xs = MPoly.variables(field, n)
-    padded = [g.pad_vars(n) for g in sub_correction.components]
+    extra = (0,) * (n - r)
+    padded = [
+        MPoly._canonical(field, n, {e + extra: c for e, c in g.terms.items()})
+        for g in sub_correction.components
+    ]
     images = [xs[j] - padded[j] for j in range(r)] + list(xs[r:])
     corrections = padded + _substitute_all(higher.components[r:], images)
     inverse = PolyMap(field, n, [x - g for x, g in zip(xs, corrections)])

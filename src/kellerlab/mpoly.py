@@ -444,10 +444,6 @@ class MPoly:
         """Set of total degrees of the terms (the degree support)."""
         return {sum(e) for e in self.terms}
 
-    def leading_term(self):
-        e = next(iter(self.terms))
-        return e, self.terms[e]
-
     # ---- calculus and substitution ---------------------------------------
 
     def derivative(self, index: int) -> "MPoly":
@@ -506,24 +502,6 @@ class MPoly:
         coeffs = _line_coefficients(self, [0] * self.nvars, b, self.field.characteristic)
         return UniPoly(self.field, coeffs)
 
-    # ---- variable plumbing -----------------------------------------------
-
-    def pad_vars(self, nvars: int) -> "MPoly":
-        """Embed into a ring with more variables (appended, unused)."""
-        if nvars < self.nvars:
-            raise ArityMismatch(f"cannot pad {self.nvars} variables down to {nvars}")
-        extra = (0,) * (nvars - self.nvars)
-        return MPoly._canonical(self.field, nvars, {e + extra: c for e, c in self.terms.items()})
-
-    def restrict_vars(self, nvars: int) -> "MPoly":
-        """Drop trailing variables; they must not occur in any term."""
-        if nvars > self.nvars:
-            raise ArityMismatch(f"cannot restrict {self.nvars} variables up to {nvars}")
-        for e in self.terms:
-            if any(e[nvars:]):
-                raise ArityMismatch("polynomial depends on a dropped variable")
-        return MPoly._canonical(self.field, nvars, {e[:nvars]: c for e, c in self.terms.items()})
-
     def exact_div(self, divisor: "MPoly") -> "MPoly":
         """Exact quotient ``self / divisor``; raises ValueError when inexact.
 
@@ -534,7 +512,7 @@ class MPoly:
         self._compat(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        d_exps, d_coeff = divisor.leading_term()
+        d_exps, d_coeff = next(iter(divisor.terms.items()))
         rem = dict(self.terms)
         quot = {}
         while rem:

@@ -137,10 +137,6 @@ class PolyMap:
             for k in sorted(set().union(*parts))
         }
 
-    def restrict(self, k: int) -> "PolyMap":
-        """First ``k`` components as a map on the first ``k`` variables."""
-        return PolyMap(self.field, k, [c.restrict_vars(k) for c in self.components[:k]])
-
 
 def apply_matrix(matrix: Matrix, polys: Sequence[MPoly], nvars: int) -> list:
     """The polynomials ``sum_j A[i][j] * polys[j]``, one per row of A.

@@ -16,7 +16,7 @@ from .errors import (
 from .field_linalg import Matrix, complete_to_basis
 from .mpoly import MPoly
 from .polymap import PolyMap, apply_matrix
-from .inversion import _require_normalized, formal_inverse
+from .inversion import formal_inverse
 
 CHAR_P_NOTE = "char-p: bound not asserted for positive characteristic"
 
@@ -32,12 +32,12 @@ class KernelReduction(NamedTuple):
 
 
 class DegreeBoundReport(NamedTuple):
-    """Inverse-degree bookkeeping for a normalized map x + H.
+    """Inverse-degree bookkeeping for the map of a kernel reduction.
 
-    ``bound`` is d^r for r = n - dim(constant kernel of jac H); the fallback
-    ``gabber_bound`` is d^(n-1).  ``escalated`` records whether the tighter
-    bound failed and the fallback was needed (over characteristic zero that
-    would refute the bound and raises instead of reporting).
+    ``bound`` is d^r for r = n - dim(constant kernel of jac(F - x)); the
+    fallback ``gabber_bound`` is d^(n-1).  ``escalated`` records whether the
+    tighter bound failed and the fallback was needed (over characteristic
+    zero that would refute the bound and raises instead of reporting).
     """
 
     n: int
@@ -123,8 +123,11 @@ def pair_reduction(polymap: PolyMap, reduction: KernelReduction) -> PolyMap:
     return paired
 
 
-def degree_bound_report(polymap: PolyMap) -> DegreeBoundReport:
+def degree_bound_report(reduction: KernelReduction) -> DegreeBoundReport:
     """Invert with the d^r bound, escalating to a larger d^(n-1) if it fails.
+
+    r is the reduction's, and the map inverted is its G = T^{-1} F(Tx),
+    which is x + H exactly when F is and has F's n, degree and inverse degree.
 
     Inverting at bound b finds a polynomial inverse exactly when one of
     degree at most b exists (the truncated fixpoint is the formal inverse
@@ -136,11 +139,9 @@ def degree_bound_report(polymap: PolyMap) -> DegreeBoundReport:
     loudly; over a prime field the report is produced but flagged, since the
     bound is only asserted in characteristic zero.
     """
-    higher = _require_normalized(polymap)
+    polymap, r = reduction.conjugated, reduction.r
     field, n = polymap.field, polymap.n
     d = polymap.degree()
-    kernel = constant_kernel(higher)
-    r = n - kernel.ncols
     bound = d**r
     gabber = d ** (n - 1) if n > 0 else 1
     note = CHAR_P_NOTE if field.characteristic else None

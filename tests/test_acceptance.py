@@ -104,7 +104,7 @@ def test_criterion_2_degree_bound_without_escalation():
         while cases < 25:
             n, r, d = grid[cases % len(grid)]
             F = _random_triangular_in_first_r(rng, QQ, n, r, d)
-            report = degree_bound_report(F)
+            report = degree_bound_report(kernel_conjugate(F))
             assert report.satisfied is True
             assert report.escalated is False
             assert report.actual_inverse_degree <= report.bound

@@ -78,9 +78,6 @@ CASES = [
     ("MPoly-negative-power", lambda: X1**-1, ValueError, "negative polynomial power"),
     ("MPoly-evaluate", lambda: X1.evaluate([1, 2]), ArityMismatch, "point of length 2 in 1 variables"),
     ("MPoly-restrict_to_line", lambda: X1.restrict_to_line([1, 2]), ArityMismatch, "direction of length 2"),
-    ("MPoly-pad_vars", lambda: X1.pad_vars(0), ArityMismatch, "cannot pad 1 variables down to 0"),
-    ("MPoly-restrict_vars-up", lambda: X1.restrict_vars(2), ArityMismatch, "cannot restrict 1 variables up to 2"),
-    ("MPoly-restrict_vars-used", lambda: P("x2", 2, QQ).restrict_vars(1), ArityMismatch, "dropped variable"),
     ("MPoly-exact_div-zero", lambda: X1.exact_div(MPoly(QQ, 1)), ZeroDivisionError, "polynomial division by zero"),
     ("PolyMap-not-a-polynomial", lambda: PolyMap(QQ, 1, ["x1"]), FieldMismatch, "components must be polynomials"),
     ("PolyMap-component-field", lambda: PolyMap(QQ, 1, [P("x1", 1, F5)]), FieldMismatch, "in a map over Q"),

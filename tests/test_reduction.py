@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from kellerlab import (
     QQ,
     constant_kernel,
     degree_bound_report,
+    formal_inverse,
     hadamard_power,
     inverse_degree,
     kernel_conjugate,
@@ -17,16 +19,19 @@ from kellerlab import (
     power_linear,
 )
 import kellerlab.reduction as reduction
+from kellerlab.cli import main
 from kellerlab.errors import (
     InconsistentReduction,
+    KellerlabError,
     NotInvertibleUpToBound,
     NotNormalized,
     TheoremViolation,
 )
-from kellerlab.inversion import VERDICT_NOT_UP_TO_BOUND
-from kellerlab.reduction import CHAR_P_NOTE
+from kellerlab.inversion import VERDICT_NOT_UP_TO_BOUND, _require_normalized
+from kellerlab.polymap import apply_matrix
+from kellerlab.reduction import CHAR_P_NOTE, DegreeBoundReport
 
-from conftest import P, pmap, random_mpoly, rng_for
+from conftest import P, pmap, random_matrix, random_mpoly, rng_for
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -201,7 +206,7 @@ class TestPairReduction:
 class TestDegreeBoundReport:
     def test_three_dim_worked_example(self):
         F = pmap(QQ, 3, "x1", "x2 + x1^2", "x3 + x1*x2")
-        report = degree_bound_report(F)
+        report = degree_bound_report(kernel_conjugate(F))
         assert (report.n, report.d, report.r) == (3, 2, 2)
         assert report.bound == 4
         assert report.gabber_bound == 4
@@ -211,14 +216,14 @@ class TestDegreeBoundReport:
 
     def test_power_linear_attains_bound(self):
         A = Matrix(QQ, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
-        report = degree_bound_report(power_linear(A, 2))
+        report = degree_bound_report(kernel_conjugate(power_linear(A, 2)))
         assert report.r == 2
         assert report.bound == 4
         assert report.actual_inverse_degree == 4
         assert report.satisfied
 
     def test_identity(self):
-        report = degree_bound_report(PolyMap.identity(QQ, 3))
+        report = degree_bound_report(kernel_conjugate(PolyMap.identity(QQ, 3)))
         assert report.r == 0
         assert report.bound == 1
         assert report.actual_inverse_degree == 1
@@ -226,7 +231,7 @@ class TestDegreeBoundReport:
 
     def test_char_p_reports_are_flagged(self):
         F = pmap(F5, 2, "x1", "x2 + x1^2")
-        report = degree_bound_report(F)
+        report = degree_bound_report(kernel_conjugate(F))
         assert report.char_p_note == CHAR_P_NOTE
         assert report.satisfied
 
@@ -234,7 +239,7 @@ class TestDegreeBoundReport:
         # d(x2^2)/dx2 = 2*x2 vanishes over F_2, so the constant kernel is
         # the whole space: r = 0 and d^r = 1, below the inverse's degree 2
         bounds = record_inversions(monkeypatch, 0)
-        report = degree_bound_report(pmap(F2, 2, "x1 + x2^2", "x2"))
+        report = degree_bound_report(kernel_conjugate(pmap(F2, 2, "x1 + x2^2", "x2")))
         assert (report.r, report.bound, report.gabber_bound) == (0, 1, 2)
         assert report.actual_inverse_degree == 2
         assert report.escalated and not report.satisfied
@@ -243,7 +248,7 @@ class TestDegreeBoundReport:
 
     def test_same_map_over_q_is_within_the_bound(self, monkeypatch):
         bounds = record_inversions(monkeypatch, 0)
-        report = degree_bound_report(pmap(QQ, 2, "x1 + x2^2", "x2"))
+        report = degree_bound_report(kernel_conjugate(pmap(QQ, 2, "x1 + x2^2", "x2")))
         assert (report.r, report.bound, report.gabber_bound) == (1, 2, 2)
         assert report.actual_inverse_degree == 2
         assert report.satisfied and not report.escalated
@@ -252,12 +257,12 @@ class TestDegreeBoundReport:
 
     def test_requires_normalized_map(self):
         with pytest.raises(NotNormalized):
-            degree_bound_report(pmap(QQ, 1, "2*x1"))
+            degree_bound_report(kernel_conjugate(pmap(QQ, 1, "2*x1")))
 
     def test_not_invertible_propagates(self):
         # r = n = 1, so d^r = 3 is tried and the smaller d^(n-1) = 1 is not
         with pytest.raises(NotInvertibleUpToBound, match="up to degree 3$"):
-            degree_bound_report(pmap(QQ, 1, "x1 + x1^3"))
+            degree_bound_report(kernel_conjugate(pmap(QQ, 1, "x1 + x1^3")))
 
     @pytest.mark.parametrize(
         "field,failing,outcome",
@@ -276,12 +281,12 @@ class TestDegreeBoundReport:
         F = pmap(field, 3, "x1", "x2 + x1^2", "x3 + x1^2")
         if outcome == NotInvertibleUpToBound:
             with pytest.raises(outcome, match="up to degree 4$"):
-                degree_bound_report(F)
+                degree_bound_report(kernel_conjugate(F))
         elif outcome != "escalated":
             with pytest.raises(outcome):
-                degree_bound_report(F)
+                degree_bound_report(kernel_conjugate(F))
         else:
-            report = degree_bound_report(F)
+            report = degree_bound_report(kernel_conjugate(F))
             assert (report.r, report.bound, report.gabber_bound) == (1, 2, 4)
             assert report.escalated and report.satisfied
             assert report.actual_inverse_degree == 2
@@ -302,8 +307,130 @@ class TestDegreeBoundReport:
         # a failure at d^r settles every bound up to it: one inversion
         bounds = record_inversions(monkeypatch, failing)
         with pytest.raises(NotInvertibleUpToBound, match="up to degree 4$"):
-            degree_bound_report(pmap(field, len(texts), *texts))
+            degree_bound_report(kernel_conjugate(pmap(field, len(texts), *texts)))
         assert bounds == [4]
+
+
+def reference_degree_bound_report(F):
+    """The report computed from F itself: the constant kernel of F - x,
+    then ``formal_inverse(F)`` at d^r and, when that fails and d^(n-1) is
+    larger, at d^(n-1)."""
+    higher = _require_normalized(F)
+    field, n = F.field, F.n
+    d = F.degree()
+    r = n - constant_kernel(higher).ncols
+    bound = d**r
+    gabber = d ** (n - 1) if n > 0 else 1
+    result = formal_inverse(F, max_deg=bound)
+    escalated = not result.is_polynomial
+    if escalated and gabber > bound:
+        result = formal_inverse(F, max_deg=gabber)
+    if not result.is_polynomial:
+        raise NotInvertibleUpToBound(f"no polynomial inverse up to degree {result.bound_used}")
+    actual = result.inverse_degree
+    if escalated and field.characteristic == 0:
+        raise TheoremViolation(
+            f"inverse degree {actual} exceeds the d^r bound {bound} over a "
+            "characteristic-zero field"
+        )
+    return DegreeBoundReport(
+        n=n,
+        d=d,
+        r=r,
+        bound=bound,
+        gabber_bound=gabber,
+        actual_inverse_degree=actual,
+        satisfied=actual <= bound,
+        escalated=escalated,
+        char_p_note=CHAR_P_NOTE if field.characteristic else None,
+    )
+
+
+def report_or_error(call):
+    """The report's fields, or the kind and message of the error raised."""
+    try:
+        return call()._asdict()
+    except KellerlabError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def random_normalized(rng, field, n):
+    """x + H with H of order at least 2 and degree at most 3 (2 when n = 3):
+    triangular (H_i in x_1..x_(i-1), so invertible) or, for n <= 2,
+    unrestricted, then conjugated by a random invertible matrix so that the
+    constant kernel is not a coordinate span."""
+    triangular = n > 2 or rng.random() < 0.5
+    comps = []
+    for i in range(n):
+        allowed = i if triangular else n
+        terms = {}
+        for _ in range(rng.randint(1, 2) if allowed else 0):
+            exps = [0] * n
+            for _ in range(rng.randint(2, 3 if n < 3 else 2)):
+                exps[rng.randrange(allowed)] += 1
+            terms[tuple(exps)] = rng.randint(1, 3)
+        comps.append(MPoly.variable(field, n, i) + MPoly(field, n, terms))
+    while True:
+        L = random_matrix(rng, field, n, n, span=2)
+        if L.rank() == n:
+            break
+    inner = PolyMap(field, n, comps).compose(PolyMap.linear(L))
+    return PolyMap(field, n, apply_matrix(L.inverse(), inner.components, n))
+
+
+class TestReportFromTheReduction:
+    """``degree_bound_report(kernel_conjugate(F))`` reads r from the
+    reduction and inverts the conjugated map; it must give the report (or
+    the error) that F itself gives."""
+
+    @pytest.mark.parametrize("field", [QQ, F2, F5, PrimeField(101)], ids=str)
+    def test_matches_the_reference_on_random_maps(self, field):
+        rng = rng_for(f"report-oracle-{field}")
+        kinds = set()
+        for _ in range(16):
+            F = random_normalized(rng, field, rng.randint(1, 3))
+            expected = report_or_error(lambda: reference_degree_bound_report(F))
+            assert report_or_error(lambda: degree_bound_report(kernel_conjugate(F))) == expected
+            kinds.add(expected[0] if isinstance(expected, tuple) else "report")
+        assert {"report", "NotInvertibleUpToBound"} <= kinds
+
+    @pytest.mark.parametrize(
+        "field,texts,error",
+        [
+            (F2, ("x1 + x2^2", "x2"), None),  # escalates from d^r = 1 to 2
+            (QQ, ("x1 + x1^3",), ("NotInvertibleUpToBound", "no polynomial inverse up to degree 3")),
+            (QQ, ("2*x1",), ("NotNormalized", "map must be x + H with H of order at least 2")),
+            (QQ, (), None),
+        ],
+    )
+    def test_matches_the_reference_on_edge_maps(self, field, texts, error):
+        F = pmap(field, len(texts), *texts)
+        expected = report_or_error(lambda: reference_degree_bound_report(F))
+        assert report_or_error(lambda: degree_bound_report(kernel_conjugate(F))) == expected
+        if error is None:
+            assert isinstance(expected, dict)
+        else:
+            assert expected == error
+
+    @pytest.mark.parametrize(
+        "polys",
+        [["x1", "x2 + x1^2", "x3 + x1*x2"], ["2*x1 + 1", "x2 + x1^2", "x3 - x1*x2"]],
+        ids=["normalized", "affine"],
+    )
+    def test_reduce_computes_one_kernel(self, polys, monkeypatch, tmp_path, capsys):
+        calls = []
+        kernel = reduction.constant_kernel
+
+        def counted(polymap):
+            calls.append(polymap)
+            return kernel(polymap)
+
+        monkeypatch.setattr(reduction, "constant_kernel", counted)
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps({"field": "Q", "nvars": 3, "polys": polys}))
+        assert main(["reduce", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["report"]["r"] == 2
+        assert len(calls) == 1
 
 
 def record_inversions(monkeypatch, failing):

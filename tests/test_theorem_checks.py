@@ -119,7 +119,7 @@ SITES = [
     Site(
         "reduction", "degree_bound_report", "exceeds the d^r bound",
         _tight_bound_fails,
-        lambda: degree_bound_report(pmap(QQ, 3, *SHEAR_3)),
+        lambda: degree_bound_report(kernel_conjugate(pmap(QQ, 3, *SHEAR_3))),
         {"field": "Q", "nvars": 3, "polys": list(SHEAR_3)}, ("reduce",),
     ),
     Site(
