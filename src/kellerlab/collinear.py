@@ -491,9 +491,9 @@ def collision_search(polymap: PolyMap, r: int, budget: Optional[int] = None) -> 
     F_i(origin + s b), is H_i'(t0 + s).  So the value is 0
     when every H_i' is zero, else the smallest s in 0..p-1 with H_i'(t0 + s)
     = 0 for the first nonzero H_i', else None.  The Jacobian is built once
-    per call, and a found value must pass the annihilation check of
-    ``find_rank_drop`` (J b = 0, summed on residues) or TheoremViolation is
-    raised.
+    per call, and the point of a found value must pass the annihilation
+    check of ``find_rank_drop`` (J b = 0, summed on residues, once per point
+    of a line) or TheoremViolation is raised.
 
     A search that finds no witness returns at once, before the determinant,
     the Jacobian or the degree list is built, so its cost does not grow
@@ -545,6 +545,7 @@ def collision_search(polymap: PolyMap, r: int, budget: Optional[int] = None) -> 
     witnesses = []
     for (base, b), line in itertools.groupby(sorted(found), key=lambda w: w[:2]):
         derivative = _line_derivative(polymap, base, b) if jacobian is not None else None
+        checked = set()  # the t of the points base + t b already checked on this line
         for _, _, sel in line:
             t0 = sel[0]
             origin = [(c + t0 * x) % p for c, x in zip(base, b)]
@@ -552,10 +553,9 @@ def collision_search(polymap: PolyMap, r: int, budget: Optional[int] = None) -> 
             drop_value = None
             if jacobian is not None:
                 drop_value = _smallest_root(field, derivative, t0)
-                if drop_value is not None:
-                    s = drop_value.v
-                    point = [(c + s * x) % p for c, x in zip(origin, b)]
-                    _check_annihilation(jacobian, point, b)
+                if drop_value is not None and (t := (t0 + drop_value.v) % p) not in checked:
+                    checked.add(t)
+                    _check_annihilation(jacobian, [(c + t * x) % p for c, x in zip(base, b)], b)
             witnesses.append(CollisionWitness(
                 b=tuple(Fp(c, p) for c in b),
                 base=tuple(Fp(c, p) for c in origin),

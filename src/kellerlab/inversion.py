@@ -57,22 +57,24 @@ class AffineNormalization(NamedTuple):
 
 
 def is_normalized(polymap: PolyMap) -> bool:
-    """True iff the map is x + H with H free of constant and linear terms."""
-    try:
-        _require_normalized(polymap)
-    except (NonSquare, NotNormalized):
+    """True iff the map is x + H with H free of constant and linear terms:
+    it is square and the terms of degree below 2 of each F_i are exactly x_i."""
+    if polymap.m != polymap.n:
         return False
-    return True
+    xs = MPoly.variables(polymap.field, polymap.n)
+    return all(
+        {e: c for e, c in f.terms.items() if sum(e) < 2} == x.terms
+        for f, x in zip(polymap.components, xs)
+    )
 
 
 def _require_normalized(polymap: PolyMap) -> PolyMap:
     """H for a normalized map x + H; raises for any other map."""
     if polymap.m != polymap.n:
         raise NonSquare(f"{polymap.m}x{polymap.n} map")
-    higher = polymap - PolyMap.identity(polymap.field, polymap.n)
-    if not all(deg >= 2 for c in higher.components for deg in c.degrees()):
+    if not is_normalized(polymap):
         raise NotNormalized("map must be x + H with H of order at least 2")
-    return higher
+    return polymap - PolyMap.identity(polymap.field, polymap.n)
 
 
 def normalize_affine(polymap: PolyMap) -> AffineNormalization:
@@ -115,7 +117,7 @@ def formal_inverse(polymap: PolyMap, max_deg: Optional[int] = None) -> InverseRe
     The default bound is d^(n-1) for d = deg F (1 when n = 0), the degree an
     inverse of an invertible degree-d map in n variables can never exceed.
     """
-    higher = _require_normalized(polymap)
+    higher = _require_normalized(polymap).components
     field, n = polymap.field, polymap.n
     if max_deg is None:
         max_deg = polymap.degree() ** (n - 1) if n > 0 else 1
@@ -123,14 +125,13 @@ def formal_inverse(polymap: PolyMap, max_deg: Optional[int] = None) -> InverseRe
         raise ValueError("max_deg must be at least 1")
     identity = PolyMap.identity(field, n)
     xs = identity.components
-    correction = PolyMap(field, n, [MPoly.zero(field, n)] * n)
+    correction = [MPoly.zero(field, n)] * n
     for _ in range(max_deg):
-        images = [x - g for x, g in zip(xs, correction.components)]
-        step = PolyMap(field, n, _substitute_all(higher.components, images, max_deg))
+        step = _substitute_all(higher, [x - g for x, g in zip(xs, correction)], max_deg)
         if step == correction:
             break
         correction = step
-    candidate = identity - correction
+    candidate = PolyMap(field, n, [x - g for x, g in zip(xs, correction)])
     is_inverse = polymap.compose(candidate) == identity and candidate.compose(polymap) == identity
     return InverseResult(
         verdict=VERDICT_POLYNOMIAL if is_inverse else VERDICT_NOT_UP_TO_BOUND,

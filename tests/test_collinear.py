@@ -961,6 +961,36 @@ class TestCollisionRankDrop:
         # multiple of t^p - t, and has a constant derivative: no root to find
         assert True in outcomes["no root"] and True in outcomes["zero derivative"]
 
+    def test_checks_each_annihilation_point_once(self, monkeypatch):
+        """Witnesses on one line whose rank drops at the same point share
+        one check of J b = 0 there."""
+        calls = []
+        check = collinear._check_annihilation
+
+        def counting(jacobian, point, b):
+            calls.append((tuple(point), tuple(b)))
+            check(jacobian, point, b)
+
+        monkeypatch.setattr(collinear, "_check_annihilation", counting)
+        # on the one line of x1^4 + 8*x1^2 over F_29 at r = 4, H' has the
+        # roots 0, 5 and 24 and three witnesses drop rank at 5 or 24
+        for field, texts, r in [*self.CASES, (PrimeField(29), ("x1^4 + 8*x1^2",), 4)]:
+            calls.clear()
+            witnesses = collision_search(pmap(field, len(texts), *texts), r)
+            p = field.p
+            points = {
+                (tuple((c.v + w.rank_drop_param.v * x.v) % p for c, x in zip(w.base, w.b)),
+                 tuple(x.v for x in w.b))
+                for w in witnesses
+                if w.rank_drop_param is not None
+            }
+            assert len(calls) == len(set(calls))
+            assert set(calls) == points
+            if texts == ("x1^2", "x2"):
+                assert (len(witnesses), len(calls)) == (10, 5)
+            if texts == ("x1^4 + 8*x1^2",):
+                assert (len(witnesses), len(calls)) == (3, 2)
+
 
 class TestOneRestriction:
     """Every line restriction comes from ``_line_coefficients``: the collinear

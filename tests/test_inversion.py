@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -30,8 +31,9 @@ from kellerlab.errors import (
     TheoremViolation,
 )
 import kellerlab.inversion as inversion_module
+from kellerlab.cli import main
 
-from conftest import P, doubled_inverse, pmap, rng_for
+from conftest import P, doubled_inverse, pmap, random_mpoly, random_scalar, rng_for
 
 F5 = PrimeField(5)
 
@@ -103,12 +105,110 @@ class TestNormalizeAffine:
         assert norm.linear @ norm.linear_inverse == Matrix.identity(field, 2)
 
 
+def reference_is_normalized(polymap):
+    """The definition through H: F is square and F - x has no term of
+    degree below 2."""
+    if polymap.m != polymap.n:
+        return False
+    higher = polymap - PolyMap.identity(polymap.field, polymap.n)
+    return all(deg >= 2 for c in higher.components for deg in c.degrees())
+
+
+CHANGES = ("x + H", "constant", "scaled", "extra linear", "random", "non-square")
+
+
+def near_normalized_map(rng, field):
+    """x + H with H of order at least 2 in 0 to 3 variables, then one of
+    ``CHANGES``, which is returned with the map."""
+    n = rng.randint(0, 3)
+    xs = MPoly.variables(field, n)
+    comps = []
+    for x in xs:
+        h = random_mpoly(rng, field, n)
+        comps.append(x + MPoly(field, n, {e: c for e, c in h.terms.items() if sum(e) >= 2}))
+    kind = rng.choice(CHANGES)
+    c = random_scalar(rng, field)
+    if kind == "non-square":
+        if n and rng.random() < 0.5:
+            comps.pop()
+        else:
+            comps.append(MPoly.constant(field, n, c))
+    elif n and kind != "x + H":
+        i = rng.randrange(n)
+        if kind == "constant":
+            comps[i] += c
+        elif kind == "scaled":
+            comps[i] += xs[i] * (c - 1)
+        elif kind == "extra linear":
+            comps[i] += xs[rng.randrange(n)] * c
+        else:
+            comps[i] = random_mpoly(rng, field, n)
+    return PolyMap(field, n, comps), kind
+
+
+def count_identity_subtractions(monkeypatch):
+    """Record each ``F - x`` made through ``PolyMap.__sub__``."""
+    calls = []
+    sub = PolyMap.__sub__
+
+    def counting(self, other):
+        if other == PolyMap.identity(other.field, other.n):
+            calls.append(self)
+        return sub(self, other)
+
+    monkeypatch.setattr(PolyMap, "__sub__", counting)
+    return calls
+
+
 class TestIsNormalized:
     def test_only_maps_of_the_form_x_plus_higher_order(self):
         assert is_normalized(pmap(QQ, 2, "x1 + x2^2", "x2 + x1^3"))
         assert not is_normalized(pmap(QQ, 2, "2*x1", "x2"))
         assert not is_normalized(pmap(QQ, 2, "x1 + 1", "x2"))
         assert not is_normalized(pmap(QQ, 2, "x1"))
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2), F5, PrimeField(101)], ids=str)
+    def test_agrees_with_the_definition_through_h(self, field):
+        rng = rng_for(f"is_normalized:{field}")
+        seen = set()
+        for _ in range(400):
+            F, kind = near_normalized_map(rng, field)
+            verdict = is_normalized(F)
+            assert verdict == reference_is_normalized(F), (kind, F)
+            seen.add((kind, F.n == 0, verdict))
+        assert {kind for kind, _, _ in seen} == set(CHANGES)
+        assert ("x + H", True, True) in seen and ("non-square", True, False) in seen
+        assert {verdict for kind, _, verdict in seen if kind == "constant"} == {True, False}
+
+    def test_builds_no_map(self, monkeypatch):
+        calls = count_identity_subtractions(monkeypatch)
+        assert is_normalized(pmap(QQ, 2, "x1 + x2^2", "x2"))
+        assert not is_normalized(pmap(QQ, 2, "x1 + 1", "x2"))
+        assert not is_normalized(pmap(QQ, 2, "x1"))
+        assert calls == []
+
+
+class TestIdentitySubtractedOnce:
+    """``F - x`` is built where H itself is used, not to check a form."""
+
+    def run(self, monkeypatch, tmp_path, capsys, command, texts):
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps({"field": "Q", "nvars": len(texts), "polys": list(texts)}))
+        calls = count_identity_subtractions(monkeypatch)
+        assert main([command, str(path)]) == 0
+        capsys.readouterr()
+        return calls
+
+    @pytest.mark.parametrize(
+        "texts", [("x1 + x2^2", "x2"), ("x1 + x2^2 + 1", "x2 + 2")], ids=["normalized", "translated"]
+    )
+    def test_invert(self, monkeypatch, tmp_path, capsys, texts):
+        assert len(self.run(monkeypatch, tmp_path, capsys, "invert", texts)) == 1
+
+    def test_reduce(self, monkeypatch, tmp_path, capsys):
+        # once for the constant kernel of jac(F - x), once for the inversion
+        calls = self.run(monkeypatch, tmp_path, capsys, "reduce", ("x1 + x2^2", "x2"))
+        assert calls == [pmap(QQ, 2, "x1 + x2^2", "x2"), pmap(QQ, 2, "x1", "x2 + x1^2")]
 
 
 class TestFormalInverse:

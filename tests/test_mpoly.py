@@ -1,4 +1,5 @@
 import gc
+import json
 from fractions import Fraction
 from math import comb
 
@@ -9,16 +10,19 @@ import kellerlab.mpoly as mpoly
 import kellerlab.unipoly as unipoly
 from kellerlab import (
     Fp,
+    Matrix,
     MPoly,
     PolyMap,
     PolyMatrix,
     PrimeField,
     QQ,
     UniPoly,
+    formal_inverse,
     parse,
     rational_roots,
     render,
 )
+from kellerlab.cli import load_mapfile, load_matrixfile
 from kellerlab.errors import (
     ArityMismatch,
     BadIndex,
@@ -904,6 +908,65 @@ class TestUniPoly:
         u = UniPoly(QQ, [Fraction(-1, 2), 0, 1])
         text = u.render(var="x1")
         assert parse(text, 1, QQ).restrict_to_line([1]) == u
+
+
+F7 = PrimeField(7)
+
+
+def _write(tmp_path, payload):
+    path = tmp_path / "value.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def _mpolys(field, tmp_path):
+    x1, x2 = MPoly.variables(field, 2)
+    return parse("x1^2 + 1/2*x1*x2", 2, field), (x1 + x2 * (field.one / 2)) * x1
+
+
+def _polymaps(field, tmp_path):
+    spec = "Q" if field == QQ else {"Fp": field.p}
+    doc = {"field": spec, "nvars": 2, "polys": ["x1 - x2^2", "x2"]}
+    loaded, _raw = load_mapfile(_write(tmp_path, doc))
+    shear = PolyMap(field, 2, [parse("x1 + x2^2", 2, field), MPoly.variable(field, 2, 1)])
+    return loaded, formal_inverse(shear).inverse
+
+
+def _matrices(field, tmp_path):
+    step = Matrix(field, [[1, 1], [0, 1]])
+    return load_matrixfile(_write(tmp_path, [["1", "2"], ["0", "1"]]), field), step @ step
+
+
+def _unipolys(field, tmp_path):
+    quarter = field.one / 4
+    return parse("(x1 + 1/2)^2", 1, field).restrict_to_line([1]), UniPoly(field, [quarter, 1, 1])
+
+
+class TestValueTypeHashAndRepr:
+    """A value read from text and an equal one computed another way hash
+    alike, so each finds the other as a dict key, and both repr as the
+    rendered text."""
+
+    ROWS = [
+        pytest.param(_mpolys, {QQ: "x1^2 + 1/2*x1*x2", F7: "x1^2 + 4*x1*x2"}, id="MPoly"),
+        pytest.param(_polymaps, {QQ: "(-1*x2^2 + x1, x2)", F7: "(6*x2^2 + x1, x2)"}, id="PolyMap"),
+        pytest.param(_matrices, {QQ: "[1 2; 0 1](2x2 over Q)", F7: "[1 2; 0 1](2x2 over F_7)"}, id="Matrix"),
+        pytest.param(_unipolys, {QQ: "t^2 + t + 1/4", F7: "t^2 + t + 2"}, id="UniPoly"),
+    ]
+
+    @pytest.mark.parametrize("field", [QQ, F7], ids=str)
+    @pytest.mark.parametrize("build, texts", ROWS)
+    def test_equal_values(self, tmp_path, build, texts, field):
+        loaded, computed = build(field, tmp_path)
+        assert loaded == computed and loaded is not computed
+        assert hash(loaded) == hash(computed)
+        assert {loaded: "loaded"}[computed] == "loaded"
+        assert {computed: "computed"}[loaded] == "computed"
+        assert repr(loaded) == repr(computed) == texts[field]
+        if isinstance(loaded, MPoly):
+            assert repr(loaded) == render(loaded)
+        if isinstance(loaded, UniPoly):
+            assert repr(loaded) == loaded.render()
 
 
 class TestRationalRoots:

@@ -160,6 +160,20 @@ class TestKernelConjugate:
         with pytest.raises(TheoremViolation, match="column 2 of the conjugated Jacobian is not zero"):
             kernel_conjugate(pmap(QQ, 2, "x1 + x2^2", "x2"))
 
+    def test_kernel_column_off_the_identity_is_refused(self, monkeypatch):
+        # fault injection: doubling the last conjugated component of
+        # (x1 + x2^2, x2) gives G_2 = 2*x2 + 2*x1^2, so dG_2/dx_2 = 2 where
+        # column 2 of jac(G - x) needs dx_2/dx_2 = 1
+        apply = reduction.apply_matrix
+
+        def doubled_last(matrix, polys, n):
+            *rest, last = apply(matrix, polys, n)
+            return [*rest, last * 2]
+
+        monkeypatch.setattr(reduction, "apply_matrix", doubled_last)
+        with pytest.raises(TheoremViolation, match="column 2 of the conjugated Jacobian is not zero"):
+            kernel_conjugate(pmap(QQ, 2, "x1 + x2^2", "x2"))
+
     def test_inverse_degree_is_preserved(self):
         # the worked example x + ((x1+x2)^2, 0) is not invertible (its paired
         # one-dimensional map is x1 + x1^2), so use an invertible
