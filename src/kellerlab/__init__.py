@@ -70,16 +70,13 @@ _EXPORTS = {
     "collinear": (
         "CollisionWitness",
         "DEFAULT_COLLISION_BUDGET",
-        "LineData",
         "LineInjectivity",
         "RankDropResult",
         "collision_search",
         "find_rank_drop",
-        "verify_coefficient_rank",
         "line_injectivity",
-        "line_restriction",
-        "verify_collision_obstruction",
     ),
+    "certificates": ("LineData", "line_restriction", "verify_coefficient_rank", "verify_collision_obstruction"),
 }
 
 # public name -> defining submodule; each submodule is public under its own name

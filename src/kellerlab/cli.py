@@ -20,9 +20,9 @@ Matrix files are JSON arrays of arrays of scalar strings ("2", "-1/3").
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 import kellerlab
 
@@ -45,11 +45,6 @@ def __getattr__(name):
 
 class _UsageError(Exception):
     pass
-
-
-class _ArgumentParser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
 
 
 def _field_from_json(spec) -> Field:
@@ -319,11 +314,18 @@ _COMMANDS = {
 }
 
 
-def build_parser(argv=()) -> _ArgumentParser:
-    """The parser for ``argv``: with only the subparser that ``argv[0]``
-    names, or with all ten when it names none, for ``--help``,
-    ``--version`` and the error that lists the subcommands."""
-    parser = _ArgumentParser(prog="kellerlab", description=__doc__)
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser for an argv that ``_plain_args`` declines: with only the
+    subparser that ``argv[0]`` names, or with all ten when it names none,
+    for ``--help`` and the error that lists the subcommands.  A usage error
+    raises ``_UsageError`` with argparse's message."""
+    import argparse
+
+    class ArgumentParser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _UsageError(message)
+
+    parser = ArgumentParser(prog="kellerlab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"kellerlab {kellerlab.__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
@@ -336,11 +338,51 @@ def build_parser(argv=()) -> _ArgumentParser:
     return parser
 
 
+def _plain_args(argv):
+    """The namespace ``build_parser(argv).parse_args(argv)`` gives, read
+    without argparse, or None unless ``argv`` is plain: a subcommand, its
+    positionals, and each of its options once, spelled exactly, as ``--name
+    value`` (the value not starting with "-") or ``--name=value`` (not with
+    "--"), with every required option given and every value accepted by its
+    row's ``type``.  Help, abbreviations, "--", ``-r2`` and every usage
+    error are left to argparse, which writes their text."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    handler, _help, arguments = _COMMANDS[argv[0]]
+    rows = {flags[0]: options for flags, options in arguments}
+    positionals = [name for name in rows if not name.startswith("-")]
+    given, values = [], {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            given.append(token)
+            continue
+        name, equals, value = token.partition("=")
+        value = value if equals else next(tokens, "-")
+        if name not in rows or name in values or value.startswith("--" if equals else "-"):
+            return None
+        values[name] = value
+    if len(given) != len(positionals) or any(o.get("required") and n not in values for n, o in rows.items()):
+        return None
+    args = {"command": argv[0], "handler": handler, **dict(zip(positionals, given))}
+    for name, options in rows.items():
+        if name.startswith("-"):
+            try:
+                value = options.get("type", str)(values[name]) if name in values else options.get("default")
+            except ValueError:
+                return None
+            args[options.get("dest") or name.lstrip("-").replace("-", "_")] = value
+    return SimpleNamespace(**args)
+
+
 def _digest(tokens, raw_inputs) -> str:
     try:  # the builtin module: hashlib would load OpenSSL
         from _sha256 import sha256
-    except ImportError:  # renamed in Python 3.12
-        from hashlib import sha256
+    except ImportError:
+        try:  # its name from Python 3.12
+            from _sha2 import sha256
+        except ImportError:
+            from hashlib import sha256
     hasher = sha256()
     for tok in tokens:
         hasher.update(tok.encode())
@@ -359,9 +401,11 @@ def _emit_error(kind: str, message: str, code: int) -> int:
 
 def main(argv=None) -> int:
     tokens = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser(tokens)
+    if tokens == ["--version"]:  # as argparse prints it, without loading argparse
+        print(f"kellerlab {kellerlab.__version__}")
+        return 0
     try:
-        args = parser.parse_args(tokens)
+        args = _plain_args(tokens) or build_parser(tokens).parse_args(tokens)
         payload, raw = args.handler(args)
     except _UsageError as exc:
         return _emit_error("UsageError", str(exc), 1)

@@ -1,12 +1,19 @@
-"""Restrictions of polynomial maps to lines, coefficient matrices of those
-restrictions, rank-drop witnesses, non-unit-Jacobian certificates, line
-injectivity, and exhaustive collinear-collision search over prime fields.
+"""Searches along lines: exhaustive collinear-collision search over prime
+fields, rank-drop witnesses and line injectivity, with the one kernel that
+restricts a polynomial to a line (``_line_coefficients``).
+
+A restriction is a coefficient list; ``unipoly`` is loaded only where a
+``UniPoly`` is built (a rank-drop derivative, the rational-root searches
+over Q), so ``collide`` and an F_p ``line-check`` never compile it.  The
+certificate checks that no subcommand runs are in ``certificates``.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from math import comb
+from operator import add
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -20,23 +27,8 @@ from .errors import (
 from .scalars import Fp, PrimeField
 from .mpoly import _coerce_point, _term_values
 from .polymap import PolyMap
-from .unipoly import UniPoly, _line_coefficients, rational_roots
 
 DEFAULT_COLLISION_BUDGET = 10_000_000
-
-
-class LineData(NamedTuple):
-    """Coefficient data of G(t) = F(t b) - F(base b).
-
-    ``C`` is the m x len(degrees) matrix with G_i(t) = sum_k C[i][k] *
-    t^degrees[k]; the degree list is strictly increasing and covers the
-    support of every component.
-    """
-
-    b: tuple
-    base: object
-    degrees: tuple
-    C: Matrix
 
 
 class CollisionWitness(NamedTuple):
@@ -90,6 +82,37 @@ class LineInjectivity(NamedTuple):
     certified: bool
 
 
+def _line_coefficients(poly: "MPoly", base: list, b: list, p: int) -> list:
+    """The coefficients of the restriction ``t -> poly(base + t * b)`` of
+    ``_coerce_point`` inputs, constant first and with no trailing zero: int
+    residues in 0..p-1 over F_p, fractions over Q.  Each term is expanded
+    from the binomial rows of (base_k + b_k t)^e, one row per (variable,
+    exponent), and summed unreduced until the end."""
+    mod, rows = p or None, {}
+    coeffs = [0 if p else poly.field.zero] * (poly.degree() + 1)
+    for exps, c in poly.terms.items():
+        term = [c.v if p else c]
+        for k, e in enumerate(exps):
+            row = rows.get((k, e))
+            if row is None:
+                row = [comb(e, j) * pow(base[k], e - j, mod) * pow(b[k], j, mod)
+                       for j in range(e + 1)]
+                rows[k, e] = row
+            if e:
+                product = [0] * (len(term) + e)
+                for i, u in enumerate(term):
+                    for j, v in enumerate(row):
+                        product[i + j] += u * v
+                term = product
+        for j, v in enumerate(term):
+            coeffs[j] += v
+    if p:
+        coeffs = [c % p for c in coeffs]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
 def _direction(polymap: PolyMap, b: Sequence) -> list:
     """The direction ``b`` coerced into the map's field; ArityMismatch unless
     it has one coordinate per variable, checked before anything else about
@@ -101,40 +124,6 @@ def _direction(polymap: PolyMap, b: Sequence) -> list:
     if all(not x for x in direction):
         raise ZeroDirection("the line direction must be nonzero")
     return direction
-
-
-def line_restriction(polymap: PolyMap, b: Sequence, base, degrees=None) -> LineData:
-    """Restrict to the line t -> t*b and subtract the value at t = base.
-
-    The degree list defaults to the exact support union of the components;
-    callers may pass a covering list instead (for the uses that fix the list
-    ahead of time).
-    """
-    from .field_linalg import Matrix
-
-    field = polymap.field
-    p = field.characteristic
-    direction = _direction(polymap, b)
-    base = field.coerce(base)
-    anchor = polymap.evaluate([base * x for x in direction])
-    origin, coerced = [0] * polymap.n, _coerce_point(field, direction)
-    restrictions = [_line_coefficients(c, origin, coerced, p) or [0] for c in polymap.components]
-    for u, v in zip(restrictions, _coerce_point(field, anchor)):
-        u[0] -= v  # a residue difference, zero iff the residues agree
-    support = {d for u in restrictions for d, c in enumerate(u) if c}
-    if degrees is None:
-        degrees = tuple(sorted(support))
-    else:
-        degrees = tuple(degrees)
-        if any(d2 <= d1 for d1, d2 in zip(degrees, degrees[1:])):
-            raise PreconditionFailed("the degree list must be strictly increasing")
-        if not support <= set(degrees):
-            raise PreconditionFailed(
-                f"degree list {degrees} does not cover the support {sorted(support)}"
-            )
-    coeff_rows = [[u[d] if d < len(u) else 0 for d in degrees] for u in restrictions]
-    matrix = Matrix(field, coeff_rows, ncols=len(degrees))
-    return LineData(b=tuple(direction), base=base, degrees=degrees, C=matrix)
 
 
 def _check_hypotheses(field, values: list, degrees: tuple, images, support=None) -> None:
@@ -172,35 +161,6 @@ def _check_hypotheses(field, values: list, degrees: tuple, images, support=None)
         raise PreconditionFailed("the generalized Vandermonde matrix does not have full rank")
 
 
-def verify_coefficient_rank(line: LineData, params: Sequence) -> bool:
-    """Check: rk C <= 1 and, when C is nonzero, its last column is nonzero.
-
-    Hypotheses (each checked, with a named failure): the degree list is
-    nonnegative and strictly increasing of length r + 1, G vanishes at every
-    parameter, and the generalized Vandermonde matrix of the parameters
-    against the first r degrees has full rank r.  Under those hypotheses the
-    conclusion is a theorem; a failing conclusion therefore raises
-    TheoremViolation instead of returning False.
-    """
-    field = line.C.field
-    values = [field.coerce(a) for a in params]
-    degrees = tuple(line.degrees)
-    # G vanishes at every parameter iff its images there all equal the zero
-    # vector; G_i(a) is row i of C against the powers of a at the degree
-    # list, evaluated only once that list has passed
-    images = itertools.chain(
-        [(field.zero,) * line.C.nrows],
-        (tuple(sum((c * a**d for c, d in zip(row, degrees)), field.zero) for row in line.C.rows)
-         for a in values),
-    )
-    _check_hypotheses(field, values, degrees, images)
-    if line.C.rank() > 1:
-        raise TheoremViolation("coefficient matrix has rank above 1")
-    if not line.C.is_zero() and not any(line.C.column(len(degrees) - 1)):
-        raise TheoremViolation("nonzero coefficient matrix with a zero last column")
-    return True
-
-
 def find_rank_drop(polymap: PolyMap, b: Sequence, params: Sequence, degrees: Sequence[int]) -> RankDropResult:
     """Search for a scalar a with (jac F) at a*b annihilating b.
 
@@ -234,6 +194,8 @@ def find_rank_drop(polymap: PolyMap, b: Sequence, params: Sequence, degrees: Seq
     if root is not None:
         point = _coerce_point(field, [root * x for x in direction])
         _check_annihilation(polymap.jacobian(), point, coerced)
+    from .unipoly import UniPoly
+
     return RankDropResult(value=root, derivative=UniPoly(field, pivot))
 
 
@@ -263,6 +225,8 @@ def _smallest_root(field, coeffs: list, shift: int = 0):
         return None
     if not coeffs:
         return field.zero
+    from .unipoly import UniPoly, rational_roots
+
     roots = rational_roots(UniPoly(field, coeffs))
     return roots[0] if roots else None
 
@@ -307,43 +271,6 @@ def _line_derivative(polymap: PolyMap, base: list, b: list) -> list:
         if derivative:
             return derivative
     return []
-
-
-def verify_collision_obstruction(polymap: PolyMap, witness: CollisionWitness) -> bool:
-    """Check that det jac F is not a nonzero constant, given a valid witness.
-
-    Hypotheses (checked, in this order): the map is square, the direction
-    has one coordinate per variable and is nonzero, the witness degree list
-    is nonnegative and strictly increasing of length r + 1, contains 0 and
-    covers the term degrees of the map translated to the witness base, the
-    translated map takes equal values at the params[i] * b, the generalized
-    Vandermonde matrix of the parameters against the first r degrees has
-    full rank (so the parameters are distinct), and the top degree is
-    neither 1 nor divisible by the characteristic.  Under these the
-    conclusion is a theorem, so a constant nonzero determinant raises
-    TheoremViolation.
-    """
-    field = polymap.field
-    if polymap.m != polymap.n:
-        raise NonSquare(f"{polymap.m}x{polymap.n} map")
-    values = [field.coerce(a) for a in witness.params]
-    degrees = tuple(witness.degrees)
-    direction = _direction(polymap, witness.b)
-    translated = polymap.translate([field.coerce(c) for c in witness.base])
-    images = (translated.evaluate([a * x for x in direction]) for a in values)
-    _check_hypotheses(field, values, degrees, images, translated.degree_support())
-    last = degrees[-1]
-    if last == 1:
-        raise PreconditionFailed("the top degree must differ from 1")
-    if field.characteristic and last % field.characteristic == 0:
-        raise PreconditionFailed(
-            f"the characteristic {field.characteristic} divides the top degree {last}"
-        )
-    if polymap.is_keller():
-        raise TheoremViolation(
-            "valid collision witness against a map with unit Jacobian determinant"
-        )
-    return True
 
 
 def line_injectivity(polymap: PolyMap, a: Sequence) -> LineInjectivity:
@@ -412,6 +339,8 @@ def _line_injectivity_rational(polymap: PolyMap, direction, restrictions: list) 
     zero iff G_i is constant and a nonzero constant iff deg G_i = 1."""
     from fractions import Fraction
 
+    from .unipoly import UniPoly, rational_roots
+
     field = polymap.field
     if all(len(g) <= 1 for g in restrictions):
         # constant on a nontrivial line: everything collides
@@ -452,6 +381,30 @@ def _class_lines(points: list, p: int) -> dict:
     return lines
 
 
+def _grid_images(polymap: PolyMap, p: int) -> array:
+    """The image of every point of F_p^n, in ``itertools.product`` order, as
+    one int: its residues read in base p, the first component highest.
+
+    Each term's values over the grid are built one coordinate at a time from
+    a table of t^e mod p per exponent e, the component's values are their
+    sum, and the images are built one component at a time in an
+    ``array('q')``, so no field element and no tuple is made per point."""
+    tables: dict = {}
+    images = array("q", bytes(8 * p**polymap.n))
+    for component in polymap.components:
+        column = [0] * len(images)
+        for exps, c in component.terms.items():
+            values = [c.v]
+            for e in exps:
+                table = tables.get(e)
+                if table is None:
+                    table = tables[e] = [pow(t, e, p) for t in range(p)]
+                values = [a * b % p for a in values for b in table]
+            column = list(map(add, column, values))
+        images = array("q", map(add, map(p.__mul__, images), map(p.__rmod__, column)))
+    return images
+
+
 def collision_search(polymap: PolyMap, r: int, budget: Optional[int] = None) -> list:
     """Exhaustively find all lines where r points share an image, over F_p.
 
@@ -465,8 +418,8 @@ def collision_search(polymap: PolyMap, r: int, budget: Optional[int] = None) -> 
     deterministic.
 
     The map is evaluated once at each of the p^n points, on int residues
-    (``_term_values``), and the points are grouped by image; only classes of
-    at least r points can hold a witness.  Two distinct points lie on one
+    (``_grid_images``), and the points are grouped by image; only classes of
+    at least r points can hold a witness, and only their points are kept.  Two distinct points lie on one
     line, so each pair in a class gives its canonical line
     (``_class_lines``), and the class's points on that line are the pairs'
     points.  The work is n p^n evaluations plus sum C(k, 2) pairs over the
@@ -516,11 +469,15 @@ def collision_search(polymap: PolyMap, r: int, budget: Optional[int] = None) -> 
     required = n * p**n
     if required > budget:
         raise BudgetExceeded(budget, required)
+    images = _grid_images(polymap, p)
+    sizes = array("q", bytes(8 * len(images)))  # by image: the map is square, so an image is below p^n
+    for image in images:
+        sizes[image] += 1
     classes: dict = {}
-    for pt in itertools.product(range(p), repeat=n):
-        image = tuple(sum(_term_values(c, pt, p)) % p for c in polymap.components)
-        classes.setdefault(image, []).append(pt)
-    kept = [points for points in classes.values() if len(points) >= r]
+    for pt, image in zip(itertools.product(range(p), repeat=n), images):
+        if sizes[image] >= r:
+            classes.setdefault(image, []).append(pt)
+    kept = list(classes.values())
     required += sum(comb(len(points), 2) for points in kept)
     if required > budget:
         raise BudgetExceeded(budget, required, "point evaluations and pairs")

@@ -1,7 +1,7 @@
 """Sparse multivariate polynomials over an exact field and the expression
-grammar (parser + canonical renderer).  Dense univariate restrictions to a
-line live in ``unipoly``, loaded by :meth:`MPoly.restrict_to_line` when it
-runs.
+grammar (parser + canonical renderer).  A restriction to a line is built
+by ``collinear._line_coefficients`` as a dense ``unipoly.UniPoly``, both
+loaded by :meth:`MPoly.restrict_to_line` when it runs.
 
 Canonical form: term maps carry no zero coefficients and iterate in
 graded-lexicographic order (total degree first, then exponent tuple),
@@ -496,7 +496,8 @@ class MPoly:
         """The univariate polynomial ``t -> self(t * direction)``."""
         if len(direction) != self.nvars:
             raise ArityMismatch(f"direction of length {len(direction)} in {self.nvars} variables")
-        from .unipoly import UniPoly, _line_coefficients
+        from .collinear import _line_coefficients
+        from .unipoly import UniPoly
 
         b = _coerce_point(self.field, direction)
         coeffs = _line_coefficients(self, [0] * self.nvars, b, self.field.characteristic)

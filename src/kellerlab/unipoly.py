@@ -1,53 +1,21 @@
 """Dense univariate polynomials: the ``UniPoly`` result type and rational
 roots.
 
-The collinear line code is the only user, so only processes that restrict a
-map to a line load this module.  A restriction t -> poly(base + t b) is its
-coefficient list, built by binomial expansion on ``_coerce_point`` inputs
-(``_line_coefficients``); a ``UniPoly`` is built from that list only for a
-result (``MPoly.restrict_to_line``, a rank-drop derivative) or a
-``rational_roots`` argument.
+A restriction t -> poly(base + t b) is its coefficient list, built by
+``collinear._line_coefficients``; a ``UniPoly`` is built from that list only
+for a result (``MPoly.restrict_to_line``, a rank-drop derivative) or a
+``rational_roots`` argument over Q.  Its users import this module when they
+build one, so ``collide`` and a ``line-check`` over F_p never load it.
 """
 
 from __future__ import annotations
 
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import FieldMismatch
 from .scalars import Field, Rationals
 from .mpoly import _format_term
-
-
-def _line_coefficients(poly: "MPoly", base: list, b: list, p: int) -> list:
-    """The coefficients of the restriction ``t -> poly(base + t * b)`` of
-    ``_coerce_point`` inputs, constant first and with no trailing zero: int
-    residues in 0..p-1 over F_p, fractions over Q.  Each term is expanded
-    from the binomial rows of (base_k + b_k t)^e, one row per (variable,
-    exponent), and summed unreduced until the end."""
-    mod, rows = p or None, {}
-    coeffs = [0 if p else poly.field.zero] * (poly.degree() + 1)
-    for exps, c in poly.terms.items():
-        term = [c.v if p else c]
-        for k, e in enumerate(exps):
-            row = rows.get((k, e))
-            if row is None:
-                row = [comb(e, j) * pow(base[k], e - j, mod) * pow(b[k], j, mod)
-                       for j in range(e + 1)]
-                rows[k, e] = row
-            if e:
-                product = [0] * (len(term) + e)
-                for i, u in enumerate(term):
-                    for j, v in enumerate(row):
-                        product[i + j] += u * v
-                term = product
-        for j, v in enumerate(term):
-            coeffs[j] += v
-    if p:
-        coeffs = [c % p for c in coeffs]
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
 
 
 class UniPoly:

@@ -27,6 +27,7 @@ from kellerlab import (
     UniPoly,
     parse,
 )
+from kellerlab import cli
 from kellerlab.cli import _digest, _json, main
 from kellerlab.errors import KellerlabError, ParseError, PreconditionError, TheoremViolation
 from kellerlab.mpoly import MAX_NESTING, MAX_POWER_TERMS
@@ -787,9 +788,10 @@ CHOICES = "'jacobian', 'keller', 'invert', 'inverse-degree', 'druzkowski', 'redu
          f'"argument command: invalid choice: \'no-such-command\' (choose from {CHOICES})"}}\n'),
         (["--help"], 0, TOP_LEVEL_HELP, ""),
         (["collide", "--help"], 0, COLLIDE_HELP, ""),
+        (["collide", "map.json", "-h"], 0, COLLIDE_HELP, ""),
         (["--version"], 0, "kellerlab 0.1.0\n", ""),
     ],
-    ids=["no-arguments", "unknown-subcommand", "help", "collide-help", "version"],
+    ids=["no-arguments", "unknown-subcommand", "help", "collide-help", "collide-h", "version"],
 )
 def test_parser_output_is_pinned(capsys, monkeypatch, argv, code, out, err):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
@@ -799,6 +801,89 @@ def test_parser_output_is_pinned(capsys, monkeypatch, argv, code, out, err):
         exit_code = exc.code
     captured = capsys.readouterr()
     assert (exit_code, captured.out, captured.err) == (code, out, err)
+
+
+# ---- the plain argv reader ------------------------------------------------
+#
+# ``_plain_args`` reads an argv without argparse or declines it; whenever it
+# reads one, argparse must read the same argv to the same namespace.
+
+READER_VALUES = st.sampled_from([
+    "2", "2", "3", "map.json", "1,0", "0,1,2", "Q", "Fp:5", "x", "", "a b", "x=1",
+    "\u0662", "\u00e9", "-1", "-1,0", "--", "-",
+])
+READER_EXTRAS = st.sampled_from([
+    "map.json", "-h", "--help", "--", "-r2", "-r=2", "--max", "--poi", "--version", "-x", "--point=1", "-r",
+])
+
+
+@st.composite
+def reader_argvs(draw):
+    """A subcommand's own positionals and options, each option exact or
+    abbreviated, as two tokens or joined by "=", sometimes left out, in any
+    order, with stray tokens now and then."""
+    command = draw(st.sampled_from([*cli._COMMANDS, "no-such-command"]))
+    rows = cli._COMMANDS[command][2] if command in cli._COMMANDS else []
+    pieces = []
+    for flags, options in rows:
+        name = flags[0]
+        if not name.startswith("-"):
+            pieces.append([draw(READER_VALUES)])
+        elif draw(st.booleans()) or (options.get("required") and draw(st.integers(0, 9))):
+            spelled = draw(st.sampled_from([name, name, name, name[:4]]))
+            value = draw(READER_VALUES)
+            pieces.append([f"{spelled}={value}"] if draw(st.booleans()) else [spelled, value])
+    pieces += draw(st.lists(READER_EXTRAS.map(lambda token: [token]), max_size=2))
+    return [command, *(token for piece in draw(st.permutations(pieces)) for token in piece)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(argv=reader_argvs())
+def test_plain_reader_agrees_with_argparse(argv):
+    plain = cli._plain_args(argv)
+    if plain is not None:
+        assert vars(plain) == vars(cli.build_parser(argv).parse_args(argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["collide", "m", "-r", "2"],
+        ["collide", "--budget=9", "-r=2", "m"],
+        ["line-check", "m", "--point=-1,0"],
+        ["invert", "m", "--max-deg", "3"],
+        ["druzkowski", "--field", "Fp:3", "--matrix", "A", "--deg", "2"],
+        ["rank-drop", "m", "--dir", "1", "--params", "0,1", "--degrees", "0,1,2"],
+        ["vandermonde", "--points=", "--degrees", "\u00e9"],
+    ],
+)
+def test_plain_reader_reads_exact_options(argv):
+    plain = cli._plain_args(argv)
+    assert plain is not None
+    assert vars(plain) == vars(cli.build_parser(argv).parse_args(argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["no-such-command"],
+        ["--version", "keller", "m"],
+        ["collide", "m", "-h"],
+        ["collide", "--", "m", "-r", "2"],
+        ["collide", "m", "-r2"],
+        ["collide", "m", "-r", "x"],
+        ["collide", "m", "-r", "\u0662"],
+        ["collide", "m", "-r", "2", "-r", "3"],
+        ["collide", "m"],
+        ["collide", "m", "n", "-r", "2"],
+        ["collide", "m", "-r"],
+        ["invert", "m", "--max", "3"],
+        ["line-check", "m", "--point", "-1,0"],
+    ],
+)
+def test_plain_reader_leaves_the_rest_to_argparse(argv):
+    assert cli._plain_args(argv) is None
 
 
 # ---- fuzzing main() -------------------------------------------------------

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import kellerlab.collinear as collinear
 import kellerlab.field_linalg as field_linalg
+import kellerlab.mpoly as mpoly
+import kellerlab.unipoly as unipoly
 from kellerlab import (
     CollisionWitness,
     Fp,
@@ -477,7 +479,7 @@ class TestLineInjectivity:
         # one rational-root search per anchor 0, 1, -1; the candidates are
         # 0, -1, 1 and each image is computed once, in candidate order
         searched, evaluated = [], []
-        real_roots, real_evaluate = collinear.rational_roots, PolyMap.evaluate
+        real_roots, real_evaluate = unipoly.rational_roots, PolyMap.evaluate
 
         def counting_roots(poly):
             searched.append(poly)
@@ -487,7 +489,7 @@ class TestLineInjectivity:
             evaluated.append(tuple(point))
             return real_evaluate(self, point)
 
-        monkeypatch.setattr(collinear, "rational_roots", counting_roots)
+        monkeypatch.setattr(unipoly, "rational_roots", counting_roots)
         monkeypatch.setattr(PolyMap, "evaluate", counting_evaluate)
         assert line_injectivity(pmap(QQ, 1, "x1 + x1^3"), [1]) == (True, None, False)
         assert len(searched) == 3
@@ -790,6 +792,8 @@ class TestCollisionSearch:
         ],
     )
     def test_evaluates_each_point_once_on_residues(self, monkeypatch, field, texts, r):
+        # the grid is evaluated once, one image per point in product order,
+        # and no field element is built while it is
         F = pmap(field, len(texts), *texts)
         expected = naive_collision_search(F, r)
 
@@ -798,19 +802,26 @@ class TestCollisionSearch:
 
         monkeypatch.setattr(PolyMap, "evaluate", refused)
         monkeypatch.setattr(PolyMatrix, "evaluate", refused)
-        calls = []
-        term_values = collinear._term_values
+        grids, built = [], []
+        grid_images, init = collinear._grid_images, Fp.__init__
 
-        def counting(poly, point, p):
-            calls.append((poly, tuple(point)))
-            return term_values(poly, point, p)
+        def counting_init(self, v, p):
+            built.append(v)
+            init(self, v, p)
 
-        monkeypatch.setattr(collinear, "_term_values", counting)
+        def counting_grid(polymap, p):
+            monkeypatch.setattr(Fp, "__init__", counting_init)
+            images = grid_images(polymap, p)
+            monkeypatch.setattr(Fp, "__init__", init)
+            grids.append(list(images))
+            return images
+
+        monkeypatch.setattr(collinear, "_grid_images", counting_grid)
         witnesses = collision_search(F, r)
         assert witnesses == expected
-        points = list(itertools.product(range(field.p), repeat=F.n))
-        for component in F.components:
-            assert [pt for poly, pt in calls if poly is component] == points
+        points = itertools.product(range(field.p), repeat=F.n)
+        assert grids == [[term_values_image(F, pt) for pt in points]]
+        assert built == []
 
     def test_never_translates(self, monkeypatch):
         F = pmap(F3, 2, "x1^2", "x2^2")
@@ -927,6 +938,48 @@ def rank_drop_outcome(F, w):
     if drop.derivative.is_zero():
         return "zero derivative"
     return "root" if drop.found else "no root"
+
+
+def term_values_image(polymap, point):
+    """The image of a point from one ``_term_values`` call per component,
+    its residues read in base p: the per-point reference for
+    ``collinear._grid_images``."""
+    p = polymap.field.p
+    image = 0
+    for component in polymap.components:
+        image = image * p + sum(mpoly._term_values(component, point, p)) % p
+    return image
+
+
+class TestGridImages:
+    """``_grid_images`` tabulates the map over F_p^n; every image must equal
+    the per-point evaluation, so the image classes are the same.  The seeded
+    maps have exponents of p and beyond, and zero and constant components."""
+
+    @pytest.mark.parametrize("field", [F2, F3, F5, F7], ids=lambda f: f"F{f.p}")
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_per_point_evaluation(self, field, n):
+        rng = rng_for(f"grid-images-{field.p}-{n}")
+        p = field.p
+        top = 0
+        for trial in range(12):
+            # each exponent up to p + 2, so some reach p and beyond
+            comps = [
+                MPoly(field, n, {tuple(rng.randrange(p + 3) for _ in range(n)): rng.randint(-5, 5)
+                                 for _ in range(rng.randint(0, 6))})
+                for _ in range(n)
+            ]
+            if trial % 3 == 1:
+                comps[rng.randrange(n)] = MPoly(field, n, {})
+            if trial % 3 == 2:
+                comps[rng.randrange(n)] = MPoly(field, n, {(0,) * n: rng.randint(1, p - 1)})
+            F = PolyMap(field, n, comps)
+            top = max([top, *(e for c in comps for exps in c.terms for e in exps)])
+            points = itertools.product(range(p), repeat=n)
+            images = collinear._grid_images(F, p)
+            assert images.typecode == "q"
+            assert list(images) == [term_values_image(F, pt) for pt in points]
+        assert top >= p
 
 
 class TestCollisionRankDrop:

@@ -1,8 +1,9 @@
 """Import policy: each CLI subcommand loads only the modules it uses, the
 package loads its submodules on first attribute access, and nothing imports
-``dataclasses``, nor ``hashlib`` where the builtin ``_sha256`` exists, nor
-``fractions`` over F_p.  Module loading is checked in fresh interpreters,
-since the test process itself has imported everything."""
+``dataclasses``, nor ``hashlib`` where the builtin ``_sha256`` or ``_sha2``
+exists, nor ``fractions`` over F_p, nor ``argparse`` for a plain argv.
+Module loading is checked in fresh interpreters, since the test process
+itself has imported everything."""
 
 import ast
 import json
@@ -91,8 +92,10 @@ def test_subcommand_loads_only_its_modules(mapfile, argv, absent):
     assert "kellerlab.polymap" in loaded
 
 
-# the digest comes from the builtin _sha256 module: hashlib loads OpenSSL.
-# Dense univariate polynomials serve only the collinear line code.
+# the digest comes from the builtin _sha256 (_sha2 from Python 3.12) module:
+# hashlib loads OpenSSL.  A dense univariate polynomial is built only for a
+# rank-drop derivative and the root searches over Q, and no subcommand runs
+# the certificate checks.
 @pytest.mark.parametrize(
     "argv",
     [
@@ -104,14 +107,61 @@ def test_subcommand_loads_only_its_modules(mapfile, argv, absent):
         ["reduce", "map.json"],
         ["druzkowski", "--matrix", "A.json", "--deg", "2"],
         ["vandermonde", "--points", "1,2", "--degrees", "0,1"],
+        ["collide", "map.json", "-r", "2"],
+        pytest.param(["line-check", "map.json", "--point", "1,0"], id="line-check-fp"),
     ],
     ids=lambda argv: argv[0],
 )
 def test_no_openssl_and_no_univariate_polynomials(mapfile, argv):
     code, loaded, names = modules_after_main(argv, mapfile.parent)
     assert code == 0
-    assert not loaded & {"hashlib", "_hashlib", "kellerlab.unipoly"}
-    assert not names & {"UniPoly", "rational_roots"}
+    assert not loaded & {"hashlib", "_hashlib", "kellerlab.unipoly", "kellerlab.certificates"}
+    assert not names & {"UniPoly", "rational_roots", "verify_coefficient_rank"}
+
+
+# a recorded call that abbreviates --max-deg: argparse reads it
+ABBREVIATED = ["invert", "map.json", "--max", "3"]
+
+
+def test_every_golden_exit_0_argv_loads_no_argparse(tmp_path):
+    """Each recorded call that exits 0 but the abbreviated one, and
+    ``--version``, is read without argparse, which loads ``gettext`` and
+    ``locale`` with it; all of them run in one fresh interpreter, each in
+    its own directory of files."""
+    cases = json.loads((Path(__file__).resolve().parent / "cli_expected.json").read_text())
+    assert ABBREVIATED in [case["argv"] for case in cases]
+    runs = [["--version"]]
+    plain = [case for case in cases if case["exit_code"] == 0 and case["argv"] != ABBREVIATED]
+    for index, case in enumerate(plain):
+        directory = tmp_path / str(index)
+        directory.mkdir()
+        for name, text in case["files"].items():
+            (directory / name).write_text(text)
+        runs.append([str(directory), *case["argv"]])
+    code = (
+        "import contextlib, io, json, os, sys\n"
+        "from kellerlab.cli import main\n"
+        "codes = []\n"
+        "for run in json.loads(sys.argv[1]):\n"
+        "    if run != ['--version']:\n"
+        "        os.chdir(run.pop(0))\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(main(run))\n"
+        "print(json.dumps([codes, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules))]))\n"
+    )
+    codes, loaded = json.loads(fresh_python(code, json.dumps(runs)))
+    assert len(codes) > 40 and set(codes) == {0}
+    assert loaded == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["collide", "map.json", "-h"], ["no-such-command"], ABBREVIATED],
+    ids=["help", "unknown-subcommand", "abbreviation"],
+)
+def test_help_usage_errors_and_abbreviations_go_through_argparse(mapfile, argv):
+    _code, loaded, _names = modules_after_main(argv, mapfile.parent)
+    assert "argparse" in loaded
 
 
 # a polynomial matrix is built only as a Jacobian, and neither inversion,

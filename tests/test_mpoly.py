@@ -6,6 +6,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kellerlab.collinear as collinear
 import kellerlab.mpoly as mpoly
 import kellerlab.unipoly as unipoly
 from kellerlab import (
@@ -668,7 +669,7 @@ class TestLineCoefficients:
         expected = naive_substitute(poly, images)
         dense = UniPoly(field, [expected.coefficient((k,)) for k in range(expected.degree() + 1)])
         point, direction = mpoly._coerce_point(field, base), mpoly._coerce_point(field, b)
-        line = unipoly._line_coefficients(poly, point, direction, p)
+        line = collinear._line_coefficients(poly, point, direction, p)
         # constant first, no trailing zero: residues over F_p, fractions over Q
         assert line == [c.v if p else c for c in dense.coeffs]
         assert all(type(c) is (int if p else Fraction) for c in line)
@@ -677,8 +678,8 @@ class TestLineCoefficients:
         # x1^3 and x1 agree at every point of F_3, but their restrictions to
         # the line 1 + t differ: (1 + t)^3 = 1 + t^3
         cube, linear = P("x1^3", 1, F3), P("x1", 1, F3)
-        assert unipoly._line_coefficients(cube, [1], [1], 3) == [1, 0, 0, 1]
-        assert unipoly._line_coefficients(linear, [1], [1], 3) == [1, 1]
+        assert collinear._line_coefficients(cube, [1], [1], 3) == [1, 0, 0, 1]
+        assert collinear._line_coefficients(linear, [1], [1], 3) == [1, 1]
 
 
 class TestParse:

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Optional
 import pytest
 
 import kellerlab
-import kellerlab.collinear as collinear
+import kellerlab.certificates as certificates
 import kellerlab.inversion as inversion
 import kellerlab.reduction as reduction
 from kellerlab import (
@@ -148,14 +148,14 @@ SITES = [
     Site(
         # with the hypotheses waved through, G = (t, t^2) does not vanish at
         # the parameter and its coefficient matrix has rank 2
-        "collinear", "verify_coefficient_rank", "rank above 1",
-        _patch(collinear, "_check_hypotheses", lambda *args, **kwargs: None),
+        "certificates", "verify_coefficient_rank", "rank above 1",
+        _patch(certificates, "_check_hypotheses", lambda *args, **kwargs: None),
         lambda: verify_coefficient_rank(line_restriction(pmap(QQ, 1, "x1", "x1^2"), [1], 0), [1]),
     ),
     Site(
         # G = (t) against the degrees 0, 1, 2: rank 1, zero last column
-        "collinear", "verify_coefficient_rank", "zero last column",
-        _patch(collinear, "_check_hypotheses", lambda *args, **kwargs: None),
+        "certificates", "verify_coefficient_rank", "zero last column",
+        _patch(certificates, "_check_hypotheses", lambda *args, **kwargs: None),
         lambda: verify_coefficient_rank(line_restriction(pmap(QQ, 1, "x1"), [1], 0, [0, 1, 2]), [1, 2]),
     ),
     Site(
@@ -165,7 +165,7 @@ SITES = [
         {"field": {"Fp": 5}, "nvars": 2, "polys": ["x1^2 + x2", "x1*x2"]}, ("collide", "-r", "2"),
     ),
     Site(
-        "collinear", "verify_collision_obstruction", "valid collision witness against a map with unit",
+        "certificates", "verify_collision_obstruction", "valid collision witness against a map with unit",
         _patch(PolyMap, "is_keller", lambda self: True),
         lambda: verify_collision_obstruction(pmap(F5, 2, "x1^2", "x2"), WITNESS),
     ),
